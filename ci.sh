@@ -18,6 +18,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 
+echo "==> perfbench self-test (the repository benchmark builds against the current API; tiny sizes, output checks, metric catalogue)"
+python3 perfbench/run.py --self-test
+
 echo "==> cargo test (workspace)"
 cargo test -q --workspace --offline
 

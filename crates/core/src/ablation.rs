@@ -154,13 +154,13 @@ pub fn associated_domain_exclusion(world: &World) -> (usize, usize) {
     let env = env_for(world);
     let mut fp_without = 0;
     let mut fp_with = 0;
+    let device = env.device(Platform::Ios);
     for app in world.apps.iter().filter(|a| a.id.platform == Platform::Ios) {
         let truth: BTreeSet<&str> = app.runtime_pinned_domains().into_iter().collect();
-        let device = env.device(Platform::Ios);
         let mut base_cfg = pinning_netsim::device::RunConfig::baseline();
         base_cfg.run_tag = "abl-base".to_string();
         let baseline = device.run_app(app, &base_cfg);
-        let mut mitm_cfg = pinning_netsim::device::RunConfig::mitm(&env.proxy);
+        let mut mitm_cfg = pinning_netsim::device::RunConfig::mitm(env.proxy());
         mitm_cfg.run_tag = "abl-mitm".to_string();
         let mitm = device.run_app(app, &mitm_cfg);
 

@@ -234,12 +234,10 @@ impl<'a> Device<'a> {
             return;
         };
         let client = ClientConfig::modern(TlsLibrary::NsUrlSession);
-        let chain = match cfg.proxy {
-            Some(p) => p.forge_chain(domain, &server.chain),
-            None => server.chain.clone(),
-        };
+        let forged = cfg.proxy.map(|p| p.forge_chain(domain, &server.chain));
+        let chain = forged.as_deref().unwrap_or(&server.chain);
         let endpoint = ServerEndpoint {
-            chain: &chain,
+            chain,
             versions: server.versions.clone(),
             ciphers: server.ciphers.clone(),
         };
@@ -429,12 +427,12 @@ impl<'a> Device<'a> {
                 continue;
             }
 
-            let chain = match cfg.proxy {
-                Some(p) => p.forge_chain(&conn.domain, &server.chain),
-                None => server.chain.clone(),
-            };
+            let forged = cfg
+                .proxy
+                .map(|p| p.forge_chain(&conn.domain, &server.chain));
+            let chain = forged.as_deref().unwrap_or(&server.chain);
             let endpoint = ServerEndpoint {
-                chain: &chain,
+                chain,
                 versions: server.versions.clone(),
                 ciphers: server.ciphers.clone(),
             };

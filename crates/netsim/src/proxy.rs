@@ -14,14 +14,14 @@ use pinning_pki::name::DistinguishedName;
 use pinning_pki::time::{SimTime, Validity, DAY};
 use pinning_pki::Certificate;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A MITM proxy with its own CA.
 #[derive(Debug)]
 pub struct MitmProxy {
     ca: Mutex<CertificateAuthority>,
     leaf_key: KeyPair,
-    forged: Mutex<HashMap<String, CertificateChain>>,
+    forged: Mutex<HashMap<String, Arc<CertificateChain>>>,
     now: SimTime,
 }
 
@@ -50,11 +50,19 @@ impl MitmProxy {
     }
 
     /// Forges (or returns the cached) chain for `hostname`, mimicking the
-    /// upstream certificate's name coverage.
-    pub fn forge_chain(&self, hostname: &str, upstream: &CertificateChain) -> CertificateChain {
+    /// upstream certificate's name coverage. Hostnames are matched
+    /// case-insensitively, and every call for one host shares one chain.
+    pub fn forge_chain(
+        &self,
+        hostname: &str,
+        upstream: &CertificateChain,
+    ) -> Arc<CertificateChain> {
         let key = hostname.to_ascii_lowercase();
-        if let Some(chain) = self.forged.lock().expect("proxy lock poisoned").get(&key) {
-            return chain.clone();
+        // Held across forging, so concurrent callers for one host cannot
+        // issue two leaves for it.
+        let mut forged = self.forged.lock().expect("proxy lock poisoned");
+        if let Some(chain) = forged.get(&key) {
+            return Arc::clone(chain);
         }
         // Mirror the upstream leaf's SANs so hostname checks still pass.
         let hostnames: Vec<String> = upstream
@@ -78,11 +86,8 @@ impl MitmProxy {
             &self.leaf_key,
             Validity::starting(self.now - DAY, 365 * DAY),
         );
-        let chain = CertificateChain::new(vec![leaf, ca.cert.clone()]);
-        self.forged
-            .lock()
-            .expect("proxy lock poisoned")
-            .insert(key, chain.clone());
+        let chain = Arc::new(CertificateChain::new(vec![leaf, ca.cert.clone()]));
+        forged.insert(key, Arc::clone(&chain));
         chain
     }
 
@@ -144,7 +149,11 @@ mod tests {
         let (_, proxy, upstream, _) = setup();
         let a = proxy.forge_chain("api.site.com", &upstream);
         let b = proxy.forge_chain("API.SITE.COM", &upstream);
-        assert_eq!(a, b);
+        let c = proxy.forge_chain("Api.Site.Com", &upstream);
+        assert!(
+            Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&a, &c),
+            "one shared chain per host"
+        );
         assert_eq!(proxy.forged_count(), 1);
     }
 

@@ -53,7 +53,7 @@ fn main() {
 
     let crl = RevocationList::empty();
     for (client_label, client) in [("unpinned app", &unpinned), ("pinned app", &pinned)] {
-        for (path_label, chain) in [("direct", &genuine), ("through mitmproxy", &forged)] {
+        for (path_label, chain) in [("direct", &genuine), ("through mitmproxy", &*forged)] {
             println!("=== {client_label}, {path_label} ===");
             let server = ServerEndpoint::modern(chain);
             let mut out = establish(

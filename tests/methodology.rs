@@ -44,12 +44,8 @@ fn lab() -> Lab {
 }
 
 fn flow_of(lab: &Lab, client: &ClientConfig, mitm: bool, with_data: bool) -> FlowRecord {
-    let chain = if mitm {
-        lab.proxy.forge_chain("api.lab.example", &lab.chain)
-    } else {
-        lab.chain.clone()
-    };
-    let endpoint = ServerEndpoint::modern(&chain);
+    let forged = mitm.then(|| lab.proxy.forge_chain("api.lab.example", &lab.chain));
+    let endpoint = ServerEndpoint::modern(forged.as_deref().unwrap_or(&lab.chain));
     let mut out = establish(
         client,
         &endpoint,
