@@ -231,27 +231,39 @@ impl ResultJournal<VecMedia> {
         let mut fingerprint = [0u8; 32];
         fingerprint.copy_from_slice(&bytes[8..HEADER_LEN]);
 
-        let recovered = scrub_frames(bytes, HEADER_LEN);
-        let mut stats = recovered.stats;
-        let mut entries = Vec::with_capacity(recovered.frames.len());
-        for payload in recovered.frames {
-            match decode_entry(payload) {
-                Ok(entry) => entries.push(entry),
-                // Checksum-valid but undecodable: version skew rather
-                // than bit rot. Quarantine the record and keep going —
-                // records are independent.
-                Err(_) => {
-                    stats.quarantined_bytes += (FRAME_LEN + payload.len()) as u64;
-                    stats.quarantined_records += 1;
-                }
-            }
-        }
+        let (entries, stats) = decode_frames(bytes, HEADER_LEN);
         Ok(Replay {
             fingerprint,
             entries,
             stats,
         })
     }
+
+    /// The records appended to this journal after its first `offset`
+    /// bytes: what a run committed on top of the image it was handed.
+    pub(crate) fn entries_since(&self, offset: usize) -> Vec<JournalEntry> {
+        decode_frames(self.as_bytes(), offset).0
+    }
+}
+
+/// Scrubs and decodes every frame from byte `start` on.
+fn decode_frames(bytes: &[u8], start: usize) -> (Vec<JournalEntry>, ScrubStats) {
+    let recovered = scrub_frames(bytes, start);
+    let mut stats = recovered.stats;
+    let mut entries = Vec::with_capacity(recovered.frames.len());
+    for payload in recovered.frames {
+        match decode_entry(payload) {
+            Ok(entry) => entries.push(entry),
+            // Checksum-valid but undecodable: version skew rather than
+            // bit rot. Quarantine the record and keep going — records
+            // are independent.
+            Err(_) => {
+                stats.quarantined_bytes += (FRAME_LEN + payload.len()) as u64;
+                stats.quarantined_records += 1;
+            }
+        }
+    }
+    (entries, stats)
 }
 
 impl<M: Media> ResultJournal<M> {

@@ -535,7 +535,7 @@ impl StreamEngine {
                                 shard.now,
                                 seed,
                             );
-                            let identity = env.identity.clone();
+                            let identity = env.device(Platform::Android).identity.clone();
                             let mut acc = StreamAccum {
                                 shards: 1,
                                 ..Default::default()

@@ -340,11 +340,12 @@ impl Study {
         fingerprint: [u8; 32],
     ) -> Result<StudyOutcome, JournalError> {
         health.cache_base = cache_snapshot();
-        let replay = ResultJournal::open(journal.as_bytes())?;
-        if replay.fingerprint != fingerprint {
+        let handed = ResultJournal::open(journal.as_bytes())?;
+        if handed.fingerprint != fingerprint {
             return Err(JournalError::FingerprintMismatch);
         }
-        let done: BTreeSet<usize> = replay
+        let handed_len = journal.as_bytes().len();
+        let done: BTreeSet<usize> = handed
             .entries
             .iter()
             .map(|e| e.app_index as usize)
@@ -383,7 +384,7 @@ impl Study {
             env = env.with_breaker(b);
         }
         let env = env;
-        let identity = env.identity.clone();
+        let identity = env.device(Platform::Android).identity.clone();
         let decrypt_key = self.config.world.ios_encryption_seed;
 
         // One app, measured to a journal-ready outcome. Static findings
@@ -474,11 +475,13 @@ impl Study {
 
         // Materialize results by replaying the finished journal: records
         // come from committed observables plus world-derived statics, so an
-        // uninterrupted run and a resume produce identical results.
-        let replay = ResultJournal::open(journal.as_bytes())
-            .expect("journal written by this process is intact");
+        // uninterrupted run and a resume produce identical results. The
+        // handed-in records were scrubbed and decoded above; only this
+        // run's commits are read back.
+        let mut entries = handed.entries;
+        entries.extend(journal.entries_since(handed_len));
         let mut records: BTreeMap<usize, AppRecord> = BTreeMap::new();
-        for entry in &replay.entries {
+        for entry in &entries {
             let app_index = entry.app_index as usize;
             let app = &world.apps[app_index];
             let static_findings = analyze_package_cached(

@@ -27,6 +27,7 @@
 pub mod base64;
 pub mod hex;
 pub mod hmac;
+mod md;
 pub mod rng;
 pub mod sha1;
 pub mod sha256;

@@ -19,36 +19,70 @@
 //!   certificates cross an expiry boundary — not the whole store.
 
 use pinning_app::app::MobileApp;
+use pinning_app::behavior::PlannedConnection;
 use pinning_app::platform::Platform;
 use pinning_crypto::Sha256;
 use pinning_store::world::World;
 use std::collections::BTreeSet;
 
+/// Every destination [`relevant_destinations`] collects, in declaration
+/// order and with repeats.
+pub(crate) fn destinations(app: &MobileApp) -> impl Iterator<Item = &str> {
+    let os_domains: &[&'static str] = match app.id.platform {
+        Platform::Ios => &pinning_netsim::APPLE_BACKGROUND_DOMAINS,
+        Platform::Android => &[],
+    };
+    app.behavior
+        .connections
+        .iter()
+        .map(|c| c.domain.as_str())
+        .chain(app.associated_domains.iter().map(String::as_str))
+        .chain(os_domains.iter().copied())
+}
+
 /// Destinations whose served state can influence this app's measurement:
 /// planned connections, iOS associated domains, and (on iOS) the OS
 /// background domains the device contacts during capture.
-pub fn relevant_destinations(app: &MobileApp) -> BTreeSet<String> {
-    let mut out: BTreeSet<String> = app
-        .behavior
-        .connections
-        .iter()
-        .map(|c| c.domain.clone())
-        .collect();
-    out.extend(app.associated_domains.iter().cloned());
-    if app.id.platform == Platform::Ios {
-        out.extend(
-            pinning_netsim::APPLE_BACKGROUND_DOMAINS
-                .iter()
-                .map(|d| d.to_string()),
-        );
-    }
-    out
+pub fn relevant_destinations(app: &MobileApp) -> BTreeSet<&str> {
+    destinations(app).collect()
 }
 
 fn sorted(xs: &[String]) -> Vec<&str> {
     let mut v: Vec<&str> = xs.iter().map(|s| s.as_str()).collect();
     v.sort_unstable();
     v
+}
+
+/// Digests one planned connection field by field. The exhaustive
+/// destructuring makes a new `PlannedConnection` field a compile error
+/// here, so it cannot silently escape the fingerprint.
+fn hash_connection(h: &mut Sha256, conn: &PlannedConnection) {
+    let PlannedConnection {
+        domain,
+        at_secs,
+        library,
+        pin_rule,
+        pii,
+        extra_bytes,
+        redundant,
+        offers_weak_ciphers,
+        requires_interaction,
+        sends_sni,
+    } = conn;
+    h.update(domain.as_bytes());
+    h.update(&[0]);
+    h.update(&at_secs.to_le_bytes());
+    h.update(&pin_rule.map_or(u64::MAX, |i| i as u64).to_le_bytes());
+    h.update(&(*extra_bytes as u64).to_le_bytes());
+    h.update(&(pii.len() as u64).to_le_bytes());
+    h.update(&[
+        *library as u8,
+        *redundant as u8,
+        *offers_weak_ciphers as u8,
+        *requires_interaction as u8,
+        *sends_sni as u8,
+    ]);
+    h.update(&pii.iter().map(|&p| p as u8).collect::<Vec<_>>());
 }
 
 /// Content fingerprint of one app at the world's current state.
@@ -99,8 +133,8 @@ pub fn app_fingerprint_in(
         h.update(&[0]);
     }
     // Pin rules and connections are order-significant (connections carry
-    // index references into the rule list), so they hash in order. The
-    // Debug encoding is deterministic and covers every field.
+    // index references into the rule list), so they hash in order. A
+    // rule's Debug encoding is deterministic and covers every field.
     for rule in &app.pin_rules {
         h.update(rule.pattern.as_bytes());
         h.update(&[rule.active_at_runtime as u8, rule.custom_pki as u8]);
@@ -111,8 +145,7 @@ pub fn app_fingerprint_in(
         }
     }
     for conn in &app.behavior.connections {
-        h.update(format!("{conn:?}").as_bytes());
-        h.update(&[0]);
+        hash_connection(&mut h, conn);
     }
 
     // --- Destination-side state, in BTreeSet (deterministic) order. ---
@@ -122,7 +155,7 @@ pub fn app_fingerprint_in(
     };
     for domain in relevant_destinations(app) {
         h.update(domain.as_bytes());
-        match network.resolve(&domain) {
+        match network.resolve(domain) {
             None => h.update(&[0]),
             Some(server) => {
                 h.update(&[1]);
@@ -139,7 +172,10 @@ pub fn app_fingerprint_in(
                     .last()
                     .is_some_and(|top| store.contains(top));
                 h.update(&[trusted as u8]);
-                h.update(format!("{:?}|{:?}", server.versions, server.ciphers).as_bytes());
+                h.update(&(server.versions.len() as u64).to_le_bytes());
+                h.update(&server.versions.iter().map(|&v| v as u8).collect::<Vec<_>>());
+                h.update(&(server.ciphers.len() as u64).to_le_bytes());
+                h.update(&server.ciphers.iter().map(|&c| c as u8).collect::<Vec<_>>());
                 h.update(&server.reliability.to_bits().to_le_bytes());
                 h.update(&(server.response_bytes as u64).to_le_bytes());
             }
@@ -200,6 +236,53 @@ mod tests {
         let large = collect(64);
         assert_eq!(small.len(), large.len());
         assert_eq!(small, large, "shard size changed a streamed fingerprint");
+    }
+
+    #[test]
+    fn fingerprint_tracks_every_connection_field() {
+        use pinning_app::behavior::Interaction;
+        use pinning_app::pii::PiiType;
+        use pinning_tls::TlsLibrary;
+
+        let world = World::generate(WorldConfig::tiny(0xE3));
+        let victim = (0..world.apps.len())
+            .find(|&i| !world.apps[i].behavior.connections.is_empty())
+            .expect("tiny world has connecting apps");
+        let before = app_fingerprint(&world, victim);
+        let edits: [fn(&mut PlannedConnection); 10] = [
+            |c| c.domain.push('x'),
+            |c| c.at_secs += 1,
+            |c| {
+                c.library = match c.library {
+                    TlsLibrary::CustomNative => TlsLibrary::OkHttp,
+                    _ => TlsLibrary::CustomNative,
+                }
+            },
+            |c| c.pin_rule = Some(c.pin_rule.map_or(0, |i| i + 1)),
+            |c| c.pii.push(PiiType::LatLon),
+            |c| c.extra_bytes += 1,
+            |c| c.redundant = !c.redundant,
+            |c| c.offers_weak_ciphers = !c.offers_weak_ciphers,
+            |c| {
+                c.requires_interaction = match c.requires_interaction {
+                    Interaction::Login => Interaction::None,
+                    _ => Interaction::Login,
+                }
+            },
+            |c| c.sends_sni = !c.sends_sni,
+        ];
+        for (k, edit) in edits.iter().enumerate() {
+            let mut edited = world.apps[victim].clone();
+            edit(&mut edited.behavior.connections[0]);
+            let after = app_fingerprint_in(
+                &edited,
+                &world.network,
+                &world.universe.aosp_oem,
+                &world.universe.ios,
+                world.now,
+            );
+            assert_ne!(before, after, "connection edit {k} escaped the fingerprint");
+        }
     }
 
     #[test]

@@ -222,10 +222,13 @@ fn pick_app_event(world: &World, app_index: usize, rng: &mut SplitMix64) -> Opti
     // Adopt pinning on an existing, currently-unpinned destination.
     if let Some(domain) = relevant_destinations(app).into_iter().find(|d| {
         world.network.resolve(d).is_some()
-            && app.behavior.connections.iter().any(|c| &c.domain == d)
+            && app.behavior.connections.iter().any(|c| c.domain == *d)
             && app.pin_rule_for(d).is_none()
     }) {
-        options.push(EpochEvent::PinningAdopted { app_index, domain });
+        options.push(EpochEvent::PinningAdopted {
+            app_index,
+            domain: domain.to_string(),
+        });
     }
     if app.pin_rules.iter().any(|r| r.active_at_runtime) {
         options.push(EpochEvent::PinningDropped { app_index });

@@ -12,7 +12,9 @@
 //!    reports byte-identically to an uninterrupted run.
 
 use pinning_crypto::SplitMix64;
-use pinning_epoch::{all_fingerprints, EpochConfig, EpochOutcome, EpochPlan, Evolution};
+use pinning_epoch::{
+    all_fingerprints, EpochConfig, EpochEvent, EpochOutcome, EpochPlan, Evolution,
+};
 use pinning_store::config::WorldConfig;
 use pinning_store::world::World;
 use std::collections::BTreeSet;
@@ -63,6 +65,27 @@ fn every_event_flips_exactly_the_touched_apps() {
             }
         }
     }
+}
+
+#[test]
+fn time_advance_flips_exactly_the_touched_apps() {
+    // Planned epochs advance two weeks, which often crosses no expiry at
+    // all; longer steps exercise the per-app walk behind that fast path.
+    let mut crossed = 0;
+    for (seed, days) in [(0xA1u64, 14u64), (0xA2, 120), (0xA3, 400), (0xA4, 2000)] {
+        let mut world = World::generate(WorldConfig::tiny(seed));
+        let ev = EpochEvent::TimeAdvance { days };
+        let before = all_fingerprints(&world);
+        let predicted = ev.touched_apps(&world);
+        ev.apply(&mut world, &mut SplitMix64::new(seed));
+        let after = all_fingerprints(&world);
+        let flipped: BTreeSet<usize> = (0..before.len())
+            .filter(|&a| before[a] != after[a])
+            .collect();
+        assert_eq!(predicted, flipped, "seed {seed:#x}, {days} days");
+        crossed += usize::from(!flipped.is_empty());
+    }
+    assert!(crossed > 0, "no step crossed an expiry boundary");
 }
 
 #[test]
