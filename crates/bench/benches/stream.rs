@@ -116,8 +116,11 @@ fn main() {
     // --- Gate 3: scrubbing a clean journal costs ≤2% over the strict
     // direct read. The journal is shaped like the 1M-app headline run's
     // shard journal: one ~4 KiB accumulator frame per 500-app shard
-    // (2,000 frames in full mode). Timings are interleaved and the
-    // medians compared, so drift hits both paths alike. ---
+    // (2,000 frames in full mode). Each round times one read by each
+    // reader, rounds alternate which goes first, and the overhead is the
+    // median of the per-round ratios: the two reads of a round run back
+    // to back, so drift between rounds cancels instead of landing on one
+    // reader's median. ---
     let scrub_frames_n: usize = if smoke { 256 } else { 2_000 };
     let mut clean_image = Vec::new();
     let mut payload = vec![0u8; 4096];
@@ -128,30 +131,48 @@ fn main() {
         payload[i % 4096] = payload[i % 4096].wrapping_add(1 + (i % 7) as u8);
         append_frame(&mut clean_image, &payload);
     }
-    let timing_rounds = 15;
+    let strict = read_frames_strict(&clean_image, 0);
+    let scrubbed = scrub_frames(&clean_image, 0);
+    assert_eq!(strict.frames.len(), scrub_frames_n);
+    assert_eq!(
+        strict.frames, scrubbed.frames,
+        "readers must agree on clean input"
+    );
+    assert!(scrubbed.stats.is_clean(), "clean journal must scrub clean");
+    let timing_rounds = if smoke { 125 } else { 31 };
+    let time_strict = || {
+        let t = Instant::now();
+        std::hint::black_box(read_frames_strict(&clean_image, 0));
+        t.elapsed().as_secs_f64()
+    };
+    let time_scrub = || {
+        let t = Instant::now();
+        std::hint::black_box(scrub_frames(&clean_image, 0));
+        t.elapsed().as_secs_f64()
+    };
     let mut strict_times = Vec::with_capacity(timing_rounds);
     let mut scrub_times = Vec::with_capacity(timing_rounds);
-    for _ in 0..timing_rounds {
-        let t = Instant::now();
-        let strict = read_frames_strict(&clean_image, 0);
-        strict_times.push(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        let scrubbed = scrub_frames(&clean_image, 0);
-        scrub_times.push(t.elapsed().as_secs_f64());
-        assert_eq!(strict.frames.len(), scrub_frames_n);
-        assert_eq!(
-            strict.frames, scrubbed.frames,
-            "readers must agree on clean input"
-        );
-        assert!(scrubbed.stats.is_clean(), "clean journal must scrub clean");
+    for round in 0..timing_rounds {
+        if round % 2 == 0 {
+            strict_times.push(time_strict());
+            scrub_times.push(time_scrub());
+        } else {
+            scrub_times.push(time_scrub());
+            strict_times.push(time_strict());
+        }
     }
+    let mut ratios: Vec<f64> = scrub_times
+        .iter()
+        .zip(&strict_times)
+        .map(|(scrub, strict)| scrub / strict)
+        .collect();
     let median = |times: &mut Vec<f64>| -> f64 {
         times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         times[times.len() / 2]
     };
+    let scrub_overhead_pct = (median(&mut ratios) - 1.0) * 100.0;
     let strict_median = median(&mut strict_times);
     let scrub_median = median(&mut scrub_times);
-    let scrub_overhead_pct = (scrub_median / strict_median - 1.0) * 100.0;
     let scrub_within_bound = scrub_overhead_pct <= 2.0;
     if !scrub_within_bound {
         failures.push(format!(

@@ -143,6 +143,25 @@ pub struct JournalEntry {
     pub outcome: AppOutcome,
 }
 
+/// One journal record, encoded and framed once.
+///
+/// A frame does not depend on the journal it lands in (the header holds
+/// the fingerprint), so a record that has not changed can be carried into
+/// a new journal without encoding or checksumming it again. Only
+/// [`EncodedEntry::new`] builds one, so it is always a valid frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodedEntry(Vec<u8>);
+
+impl EncodedEntry {
+    /// Encodes and frames `entry`.
+    pub fn new(entry: &JournalEntry) -> Self {
+        let payload = encode_entry(entry);
+        let mut frame = Vec::with_capacity(FRAME_LEN + payload.len());
+        append_frame(&mut frame, &payload);
+        EncodedEntry(frame)
+    }
+}
+
 /// The recoverable content of a journal, as scrubbed by
 /// [`ResultJournal::open`].
 #[derive(Debug, Clone)]
@@ -188,6 +207,12 @@ impl ResultJournal<VecMedia> {
     /// Appends one committed app outcome (infallible on perfect media).
     pub fn append(&mut self, entry: &JournalEntry) {
         self.try_append(entry)
+            .expect("VecMedia never refuses a write")
+    }
+
+    /// [`ResultJournal::append`] for a record encoded earlier.
+    pub fn append_encoded(&mut self, entry: &EncodedEntry) {
+        self.try_append_encoded(entry)
             .expect("VecMedia never refuses a write")
     }
 
@@ -284,10 +309,12 @@ impl<M: Media> ResultJournal<M> {
     /// Appends one committed app outcome through the medium, with a
     /// flush barrier so the record is durable on return (honest media).
     pub fn try_append(&mut self, entry: &JournalEntry) -> Result<(), MediaError> {
-        let payload = encode_entry(entry);
-        let mut frame = Vec::with_capacity(FRAME_LEN + payload.len());
-        append_frame(&mut frame, &payload);
-        self.media.append(&frame)?;
+        self.try_append_encoded(&EncodedEntry::new(entry))
+    }
+
+    /// [`ResultJournal::try_append`] for a record encoded earlier.
+    pub fn try_append_encoded(&mut self, entry: &EncodedEntry) -> Result<(), MediaError> {
+        self.media.append(&entry.0)?;
         self.media.flush()
     }
 
@@ -482,6 +509,24 @@ mod tests {
         assert!(replay.stats.is_clean());
         assert!(!replay.truncated());
         assert_eq!(j.len(), 4);
+    }
+
+    #[test]
+    fn encoded_entries_carry_into_any_journal_unchanged() {
+        let encoded: Vec<EncodedEntry> = sample_entries().iter().map(EncodedEntry::new).collect();
+        let mut j = ResultJournal::create([0xAB; 32]);
+        for e in &encoded {
+            j.append_encoded(e);
+        }
+        assert_eq!(j.as_bytes(), journal().as_bytes());
+        // The same frames under another header read back the same records.
+        let mut other = ResultJournal::create([0xCD; 32]);
+        for e in &encoded {
+            other.append_encoded(e);
+        }
+        let replay = ResultJournal::open(other.as_bytes()).unwrap();
+        assert_eq!(replay.fingerprint, [0xCD; 32]);
+        assert_eq!(replay.entries, sample_entries());
     }
 
     #[test]

@@ -23,7 +23,9 @@ pub mod study;
 pub mod tables;
 
 pub use accum::StreamAccum;
-pub use journal::{AppOutcome, JournalEntry, JournalError, MeasuredApp, Replay, ResultJournal};
+pub use journal::{
+    AppOutcome, EncodedEntry, JournalEntry, JournalError, MeasuredApp, Replay, ResultJournal,
+};
 pub use record::AppRecord;
 pub use stream::{StreamConfig, StreamEngine, StreamHealth, StreamOutcome, StreamResults};
 pub use study::{RunHealth, Study, StudyConfig, StudyOutcome, StudyResults, SupervisorConfig};

@@ -17,13 +17,26 @@
 //! - Absolute time is hashed only through `validity.contains(now)` bits,
 //!   so a `TimeAdvance` epoch dirties exactly the apps whose destination
 //!   certificates cross an expiry boundary — not the whole store.
+//!
+//! A destination's served state is digested once per (destination,
+//! platform) by `ServedState` and only that 32-byte digest enters each
+//! app's fingerprint, so shared SDK and iOS OS destinations are not
+//! re-hashed for every app that contacts them.
 
 use pinning_app::app::MobileApp;
 use pinning_app::behavior::PlannedConnection;
 use pinning_app::platform::Platform;
-use pinning_crypto::Sha256;
+use pinning_crypto::{sha256, sha256_many, Sha256};
+use pinning_netsim::network::Network;
+use pinning_pki::store::RootStore;
+use pinning_pki::time::SimTime;
 use pinning_store::world::World;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+
+/// Leads every app fingerprint. Fingerprints persist in epoch checkpoints;
+/// a checkpoint written under another scheme holds digests of other
+/// bytes, so none of its apps compares clean and all are re-measured.
+const FINGERPRINT_SCHEME: &[u8] = b"pinning-epoch/app-fingerprint/2";
 
 /// Every destination [`relevant_destinations`] collects, in declaration
 /// order and with repeats.
@@ -56,7 +69,7 @@ fn sorted(xs: &[String]) -> Vec<&str> {
 /// Digests one planned connection field by field. The exhaustive
 /// destructuring makes a new `PlannedConnection` field a compile error
 /// here, so it cannot silently escape the fingerprint.
-fn hash_connection(h: &mut Sha256, conn: &PlannedConnection) {
+fn hash_connection(h: &mut Preimage, conn: &PlannedConnection) {
     let PlannedConnection {
         domain,
         at_secs,
@@ -85,15 +98,103 @@ fn hash_connection(h: &mut Sha256, conn: &PlannedConnection) {
     h.update(&pii.iter().map(|&p| p as u8).collect::<Vec<_>>());
 }
 
+/// The served state apps are fingerprinted against, with each
+/// (destination, platform) digest computed on first use and reused after.
+///
+/// Build one per epoch (or per shard): every digest is a pure function of
+/// the network, the platform's root store and `now`, so sharing them across
+/// apps changes no fingerprint.
+pub(crate) struct ServedState<'a> {
+    network: &'a Network,
+    android_store: &'a RootStore,
+    ios_store: &'a RootStore,
+    now: SimTime,
+    /// Destination digests, indexed by [`platform_index`].
+    digests: [HashMap<String, [u8; 32]>; 2],
+}
+
+fn platform_index(platform: Platform) -> usize {
+    match platform {
+        Platform::Android => 0,
+        Platform::Ios => 1,
+    }
+}
+
+impl<'a> ServedState<'a> {
+    /// Served state from an explicit network, root stores and time.
+    pub(crate) fn new(
+        network: &'a Network,
+        android_store: &'a RootStore,
+        ios_store: &'a RootStore,
+        now: SimTime,
+    ) -> Self {
+        ServedState {
+            network,
+            android_store,
+            ios_store,
+            now,
+            digests: Default::default(),
+        }
+    }
+
+    /// The materialized world's served state.
+    pub(crate) fn of_world(world: &'a World) -> Self {
+        Self::new(
+            &world.network,
+            &world.universe.aosp_oem,
+            &world.universe.ios,
+            world.now,
+        )
+    }
+
+    /// Digest of what `domain` serves to an app on `platform`: chain,
+    /// validity at `now`, revocation, root trust and TLS posture.
+    fn digest(&mut self, domain: &str, platform: Platform) -> [u8; 32] {
+        let memo = &mut self.digests[platform_index(platform)];
+        if let Some(d) = memo.get(domain) {
+            return *d;
+        }
+        let store = match platform {
+            Platform::Android => self.android_store,
+            Platform::Ios => self.ios_store,
+        };
+        let (network, now) = (self.network, self.now);
+        let mut h = Sha256::new();
+        match network.resolve(domain) {
+            None => h.update(&[0]),
+            Some(server) => {
+                h.update(&[1]);
+                for cert in server.chain.certs() {
+                    h.update(&cert.fingerprint_sha256());
+                    h.update(&[
+                        cert.tbs.validity.contains(now) as u8,
+                        network.crl.is_revoked(cert.tbs.serial) as u8,
+                    ]);
+                }
+                let trusted = server
+                    .chain
+                    .certs()
+                    .last()
+                    .is_some_and(|top| store.contains(top));
+                h.update(&[trusted as u8]);
+                h.update(&(server.versions.len() as u64).to_le_bytes());
+                h.update(&server.versions.iter().map(|&v| v as u8).collect::<Vec<_>>());
+                h.update(&(server.ciphers.len() as u64).to_le_bytes());
+                h.update(&server.ciphers.iter().map(|&c| c as u8).collect::<Vec<_>>());
+                h.update(&server.reliability.to_bits().to_le_bytes());
+                h.update(&(server.response_bytes as u64).to_le_bytes());
+            }
+        }
+        let d = h.finalize();
+        memo.insert(domain.to_string(), d);
+        d
+    }
+}
+
 /// Content fingerprint of one app at the world's current state.
 pub fn app_fingerprint(world: &World, app_index: usize) -> [u8; 32] {
-    app_fingerprint_in(
-        &world.apps[app_index],
-        &world.network,
-        &world.universe.aosp_oem,
-        &world.universe.ios,
-        world.now,
-    )
+    let served = &mut ServedState::of_world(world);
+    sha256(&preimage(&world.apps[app_index], served).0)
 }
 
 /// Content fingerprint of one app against an explicit served state.
@@ -106,12 +207,47 @@ pub fn app_fingerprint(world: &World, app_index: usize) -> [u8; 32] {
 /// the same state (the shard determinism contract).
 pub fn app_fingerprint_in(
     app: &MobileApp,
-    network: &pinning_netsim::network::Network,
-    android_store: &pinning_pki::store::RootStore,
-    ios_store: &pinning_pki::store::RootStore,
-    now: pinning_pki::time::SimTime,
+    network: &Network,
+    android_store: &RootStore,
+    ios_store: &RootStore,
+    now: SimTime,
 ) -> [u8; 32] {
-    let mut h = Sha256::new();
+    let served = &mut ServedState::new(network, android_store, ios_store, now);
+    sha256(&preimage(app, served).0)
+}
+
+/// [`app_fingerprint_in`] for many apps against one `served`, in input
+/// order: equal to fingerprinting each alone, but each destination is
+/// digested once. The app digests are computed four at a time
+/// ([`sha256_many`]), over preimages grouped by length so the four lanes
+/// run in step.
+pub(crate) fn app_fingerprints_with<'a>(
+    apps: impl IntoIterator<Item = &'a MobileApp>,
+    served: &mut ServedState<'_>,
+) -> Vec<[u8; 32]> {
+    let preimages: Vec<Preimage> = apps.into_iter().map(|app| preimage(app, served)).collect();
+    let mut by_len: Vec<usize> = (0..preimages.len()).collect();
+    by_len.sort_by_key(|&i| preimages[i].0.len());
+    let digests = sha256_many(by_len.iter().map(|&i| preimages[i].0.as_slice()));
+    let mut out = vec![[0u8; 32]; preimages.len()];
+    for (&i, d) in by_len.iter().zip(digests) {
+        out[i] = d;
+    }
+    out
+}
+
+/// The bytes an app fingerprint digests.
+struct Preimage(Vec<u8>);
+
+impl Preimage {
+    fn update(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+}
+
+fn preimage(app: &MobileApp, served: &mut ServedState<'_>) -> Preimage {
+    let mut h = Preimage(Vec::with_capacity(2048));
+    h.update(FINGERPRINT_SCHEME);
 
     // --- App-side content: manifest, package, rules, behaviour. ---
     h.update(&[match app.id.platform {
@@ -149,47 +285,18 @@ pub fn app_fingerprint_in(
     }
 
     // --- Destination-side state, in BTreeSet (deterministic) order. ---
-    let store = match app.id.platform {
-        Platform::Android => android_store,
-        Platform::Ios => ios_store,
-    };
     for domain in relevant_destinations(app) {
         h.update(domain.as_bytes());
-        match network.resolve(domain) {
-            None => h.update(&[0]),
-            Some(server) => {
-                h.update(&[1]);
-                for cert in server.chain.certs() {
-                    h.update(&cert.fingerprint_sha256());
-                    h.update(&[
-                        cert.tbs.validity.contains(now) as u8,
-                        network.crl.is_revoked(cert.tbs.serial) as u8,
-                    ]);
-                }
-                let trusted = server
-                    .chain
-                    .certs()
-                    .last()
-                    .is_some_and(|top| store.contains(top));
-                h.update(&[trusted as u8]);
-                h.update(&(server.versions.len() as u64).to_le_bytes());
-                h.update(&server.versions.iter().map(|&v| v as u8).collect::<Vec<_>>());
-                h.update(&(server.ciphers.len() as u64).to_le_bytes());
-                h.update(&server.ciphers.iter().map(|&c| c as u8).collect::<Vec<_>>());
-                h.update(&server.reliability.to_bits().to_le_bytes());
-                h.update(&(server.response_bytes as u64).to_le_bytes());
-            }
-        }
+        h.update(&[0]);
+        h.update(&served.digest(domain, app.id.platform));
     }
 
-    h.finalize()
+    h
 }
 
 /// Fingerprints of every app, in index order.
 pub fn all_fingerprints(world: &World) -> Vec<[u8; 32]> {
-    (0..world.apps.len())
-        .map(|i| app_fingerprint(world, i))
-        .collect()
+    app_fingerprints_with(&world.apps, &mut ServedState::of_world(world))
 }
 
 #[cfg(test)]
@@ -202,6 +309,25 @@ mod tests {
         let a = World::generate(WorldConfig::tiny(0xE0));
         let b = World::generate(WorldConfig::tiny(0xE0));
         assert_eq!(all_fingerprints(&a), all_fingerprints(&b));
+    }
+
+    #[test]
+    fn shared_served_state_matches_fingerprinting_each_app_alone() {
+        let world = World::generate(WorldConfig::tiny(0xE4));
+        let alone: Vec<[u8; 32]> = world
+            .apps
+            .iter()
+            .map(|app| {
+                app_fingerprint_in(
+                    app,
+                    &world.network,
+                    &world.universe.aosp_oem,
+                    &world.universe.ios,
+                    world.now,
+                )
+            })
+            .collect();
+        assert_eq!(all_fingerprints(&world), alone);
     }
 
     #[test]

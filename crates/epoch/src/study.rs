@@ -9,12 +9,13 @@
 //! journal format fresh measurements commit to, and materialization
 //! replays the journal either way.
 
+use crate::fingerprint::{app_fingerprints_with, ServedState};
 use crate::plan::{apply_epoch, EpochConfig, EpochPlan};
 use crate::state::{EpochState, StateError};
 use pinning_analysis::dynamics::pipeline::RetryPolicy;
 use pinning_analysis::statics::analyze_package_cached;
 use pinning_app::platform::Platform;
-use pinning_core::journal::{AppOutcome, JournalEntry, JournalError, ResultJournal};
+use pinning_core::journal::{AppOutcome, EncodedEntry, JournalEntry, JournalError, ResultJournal};
 use pinning_core::record::AppRecord;
 use pinning_core::study::{Study, StudyConfig, StudyOutcome, StudyResults, SupervisorConfig};
 use pinning_crypto::Sha256;
@@ -60,6 +61,10 @@ pub struct Evolution {
     fingerprints: Vec<[u8; 32]>,
     /// Records of the last completed epoch.
     records: BTreeMap<usize, AppRecord>,
+    /// Incremental mode only: each record's journal frame, refreshed when
+    /// the app is re-measured, so replaying a clean app copies its frame
+    /// instead of encoding and checksumming it again.
+    frames: BTreeMap<usize, EncodedEntry>,
     /// `render_all()` of the last completed epoch.
     last_render: String,
     adoption: Vec<AdoptionPoint>,
@@ -88,6 +93,7 @@ impl Evolution {
             done: 0,
             fingerprints: Vec::new(),
             records: BTreeMap::new(),
+            frames: BTreeMap::new(),
             last_render: String::new(),
             adoption: Vec::new(),
             distrust: Vec::new(),
@@ -227,8 +233,12 @@ impl Evolution {
         // Only measured apps need fingerprints; unlisted store apps can
         // never be dirty or clean — they are simply never measured.
         let mut new_fps = vec![[0u8; 32]; world.apps.len()];
-        for &i in &measured {
-            new_fps[i] = crate::fingerprint::app_fingerprint(&world, i);
+        let fps = app_fingerprints_with(
+            measured.iter().map(|&i| &world.apps[i]),
+            &mut ServedState::of_world(&world),
+        );
+        for (&i, fp) in measured.iter().zip(fps) {
+            new_fps[i] = fp;
         }
 
         // Dirty = fingerprint changed (or no prior verdict). The
@@ -258,10 +268,9 @@ impl Evolution {
                     if dirty.contains(&i) {
                         continue;
                     }
-                    journal.append(&JournalEntry {
-                        app_index: i as u64,
-                        outcome: outcome_of(&self.records[&i]),
-                    });
+                    let frame = &self.frames[&i];
+                    debug_assert_eq!(*frame, encode_record(i, &self.records[&i]));
+                    journal.append_encoded(frame);
                 }
                 study.run_on_world(world, journal, fingerprint)?
             }
@@ -276,6 +285,12 @@ impl Evolution {
                 return Ok(EpochOutcome::Interrupted(journal.into_bytes()));
             }
         };
+        if self.incremental {
+            for &i in &dirty {
+                self.frames
+                    .insert(i, encode_record(i, &results.records[&i]));
+            }
+        }
         if self.incremental && k > 0 {
             results.health.replayed_prior_epoch = replayed;
             results.health.reanalyzed_dirty = dirty.len();
@@ -455,10 +470,7 @@ impl Evolution {
         assert!(self.done > 0, "no completed epoch to persist");
         let mut journal = ResultJournal::create(self.epoch_fp(self.done - 1));
         for (&i, rec) in &self.records {
-            journal.append(&JournalEntry {
-                app_index: i as u64,
-                outcome: outcome_of(rec),
-            });
+            journal.append_encoded(&encode_record(i, rec));
         }
         EpochState {
             identity: self.config.identity(),
@@ -572,6 +584,9 @@ impl Evolution {
                 AppOutcome::Measured(m) => AppRecord::from_measured(i, app.id.clone(), statics, m),
                 AppOutcome::Failed(e) => AppRecord::failed(i, app.id.clone(), statics, *e),
             };
+            if engine.incremental {
+                engine.frames.insert(i, EncodedEntry::new(entry));
+            }
             records.insert(i, record);
         }
         engine.records = records;
@@ -579,12 +594,16 @@ impl Evolution {
     }
 }
 
-/// A completed record, re-encoded as the journal outcome it came from.
-fn outcome_of(rec: &AppRecord) -> AppOutcome {
-    match rec.error {
+/// A completed record, re-encoded as the journal record it came from.
+fn encode_record(app_index: usize, rec: &AppRecord) -> EncodedEntry {
+    let outcome = match rec.error {
         Some(e) => AppOutcome::Failed(e),
         None => AppOutcome::Measured(Box::new(rec.to_measured())),
-    }
+    };
+    EncodedEntry::new(&JournalEntry {
+        app_index: app_index as u64,
+        outcome,
+    })
 }
 
 #[cfg(test)]
@@ -660,15 +679,43 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_from_another_fingerprint_scheme_re_measures_every_app() {
+        let mut ev = Evolution::new(EpochConfig::tiny(0xB5), true);
+        ev.next_epoch().unwrap();
+        // A checkpoint written under an older fingerprint scheme holds
+        // digests of other bytes: model it by changing every entry.
+        let mut state = EpochState::from_bytes(&ev.state_bytes()).unwrap();
+        for fp in &mut state.fingerprints {
+            fp[0] ^= 0xff;
+        }
+        let mut stale = Evolution::from_state(EpochConfig::tiny(0xB5), &state.to_bytes()).unwrap();
+        stale.next_epoch().unwrap();
+        ev.next_epoch().unwrap();
+        assert_eq!(stale.full_report(), ev.full_report());
+        assert_eq!(stale.fingerprints(), ev.fingerprints());
+        let (fresh, stale_cost) = (&ev.costs[1], &stale.costs[1]);
+        assert!(fresh.replayed > 0, "the fresh run replays clean apps");
+        assert_eq!(stale_cost.replayed, 0, "no stale verdict is replayed");
+        assert_eq!(stale_cost.reanalyzed, fresh.replayed + fresh.reanalyzed);
+    }
+
+    #[test]
     fn state_roundtrip_restores_the_engine() {
         let mut ev = Evolution::new(EpochConfig::tiny(0xB2), true);
         ev.next_epoch().unwrap();
         ev.next_epoch().unwrap();
         let bytes = ev.state_bytes();
-        let restored = Evolution::from_state(EpochConfig::tiny(0xB2), &bytes).unwrap();
+        let mut restored = Evolution::from_state(EpochConfig::tiny(0xB2), &bytes).unwrap();
         assert_eq!(restored.completed(), 2);
         assert_eq!(restored.full_report(), ev.full_report());
         assert_eq!(restored.fingerprints(), ev.fingerprints());
+        // The restored engine replays clean apps from the checkpoint's
+        // journal exactly as the original replays them from memory.
+        ev.next_epoch().unwrap();
+        restored.next_epoch().unwrap();
+        assert_eq!(restored.full_report(), ev.full_report());
+        assert!(restored.costs[2].replayed > 0);
+        assert_eq!(restored.costs[2].replayed, ev.costs[2].replayed);
         assert_eq!(
             Evolution::from_state(EpochConfig::tiny(0xFF), &bytes).unwrap_err(),
             StateError::IdentityMismatch

@@ -12,11 +12,19 @@ use crate::name::DistinguishedName;
 use pinning_crypto::SplitMix64;
 use std::collections::HashMap;
 
+/// A trusted root plus whether its self-signature verified when it was
+/// added.
+#[derive(Debug, Clone)]
+struct TrustedRoot {
+    cert: Certificate,
+    self_signature_ok: bool,
+}
+
 /// A named set of trusted root certificates.
 #[derive(Debug, Clone)]
 pub struct RootStore {
     name: String,
-    by_subject: HashMap<DistinguishedName, Certificate>,
+    by_subject: HashMap<DistinguishedName, TrustedRoot>,
     /// Content-derived identity: hash of the name, folded (order-
     /// independently) with the fingerprint of every trusted root. Two
     /// stores compare equal here iff they would trust the same anchors, so
@@ -52,6 +60,11 @@ impl RootStore {
 
     /// Adds a root certificate. Returns `false` (and keeps the existing
     /// entry) if a root with the same subject is already present.
+    ///
+    /// The root's self-signature is verified here, once, so validation can
+    /// anchor a chain whose top is this exact certificate without verifying
+    /// it again. A root whose self-signature fails is still stored; a chain
+    /// that presents it as its top is then checked in full, and rejected.
     pub fn add(&mut self, cert: Certificate) -> bool {
         if !cert.tbs.is_ca || !cert.is_self_signed() {
             // Root stores only hold self-signed CA certs; refuse others.
@@ -61,7 +74,14 @@ impl RootStore {
             std::collections::hash_map::Entry::Occupied(_) => false,
             std::collections::hash_map::Entry::Vacant(e) => {
                 let fp = cert.fingerprint_sha256();
-                e.insert(cert);
+                let self_signature_ok = cert
+                    .tbs
+                    .public_key
+                    .verify(&cert.tbs.to_bytes(), &cert.signature);
+                e.insert(TrustedRoot {
+                    cert,
+                    self_signature_ok,
+                });
                 self.content_id ^= u64::from_le_bytes(fp[..8].try_into().expect("8 bytes"));
                 true
             }
@@ -76,7 +96,7 @@ impl RootStore {
     /// it had before the root was added — validation memo keys derived
     /// from it stay sound across distrust-and-restore cycles.
     pub fn remove(&mut self, subject: &DistinguishedName) -> Option<Certificate> {
-        let cert = self.by_subject.remove(subject)?;
+        let cert = self.by_subject.remove(subject)?.cert;
         let fp = cert.fingerprint_sha256();
         self.content_id ^= u64::from_le_bytes(fp[..8].try_into().expect("8 bytes"));
         Some(cert)
@@ -84,20 +104,32 @@ impl RootStore {
 
     /// Looks up a trusted root by subject name.
     pub fn get(&self, subject: &DistinguishedName) -> Option<&Certificate> {
-        self.by_subject.get(subject)
+        self.by_subject.get(subject).map(|r| &r.cert)
     }
 
     /// Whether a certificate with this exact subject *and* SPKI is trusted.
     pub fn contains(&self, cert: &Certificate) -> bool {
         self.by_subject
             .get(&cert.tbs.subject)
-            .is_some_and(|c| c.tbs.public_key.spki == cert.tbs.public_key.spki)
+            .is_some_and(|r| r.cert.tbs.public_key.spki == cert.tbs.public_key.spki)
+    }
+
+    /// Whether `cert` is byte-identical (`tbs` and `signature`) to a trusted
+    /// root whose self-signature verified in [`RootStore::add`].
+    ///
+    /// When true, `contains(cert)` holds and `cert`'s self-signature
+    /// verifies, so validation may skip both. The comparison reads only
+    /// certificate content, never its derived-value cache.
+    pub(crate) fn is_verified_anchor(&self, cert: &Certificate) -> bool {
+        self.by_subject
+            .get(&cert.tbs.subject)
+            .is_some_and(|r| r.self_signature_ok && r.cert == *cert)
     }
 
     /// Finds the trusted root that issued `cert` (by issuer name + verifying
     /// the signature), if any.
     pub fn issuer_of(&self, cert: &Certificate) -> Option<&Certificate> {
-        let root = self.by_subject.get(&cert.tbs.issuer)?;
+        let root = &self.by_subject.get(&cert.tbs.issuer)?.cert;
         root.tbs
             .public_key
             .verify(&cert.tbs.to_bytes(), &cert.signature)
@@ -116,7 +148,7 @@ impl RootStore {
 
     /// Iterates over the roots (unordered).
     pub fn iter(&self) -> impl Iterator<Item = &Certificate> {
-        self.by_subject.values()
+        self.by_subject.values().map(|r| &r.cert)
     }
 }
 

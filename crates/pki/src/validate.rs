@@ -10,7 +10,6 @@ use crate::cert::Certificate;
 use crate::error::ValidationError;
 use crate::store::RootStore;
 use crate::time::SimTime;
-use pinning_crypto::Sha256;
 use pinning_resilience::{Deadline, DeadlineExceeded};
 use std::collections::{HashMap, HashSet};
 use std::sync::{OnceLock, RwLock};
@@ -259,13 +258,17 @@ fn validate_chain_impl(
     let top = chain.last().expect("non-empty checked above");
     let anchored = if top.is_self_signed() {
         // Chain includes its root: the root itself must be trusted (and its
-        // self-signature must verify).
+        // self-signature must verify). A top identical to a stored root
+        // whose self-signature the store already verified needs neither
+        // check again; the verify is charged either way, so the deadline
+        // accounting does not depend on which path ran.
         deadline.charge(COST_SIGNATURE_VERIFY)?;
-        store.contains(top)
-            && top
-                .tbs
-                .public_key
-                .verify(&top.tbs.to_bytes(), &top.signature)
+        store.is_verified_anchor(top)
+            || (store.contains(top)
+                && top
+                    .tbs
+                    .public_key
+                    .verify(&top.tbs.to_bytes(), &top.signature))
     } else {
         // Chain excludes the root: a trusted root must have signed the top.
         store.issuer_of(top).is_some()
@@ -296,8 +299,51 @@ fn validate_chain_impl(
     Ok(())
 }
 
-/// Memoized verdicts, keyed by [`validation_key`].
-type ValidationMemo = RwLock<HashMap<[u8; 32], Result<(), ValidationError>>>;
+/// Every input [`validate_chain`] reads, compared field by field.
+///
+/// Each dimension is either stored in full (certificate fingerprints cover
+/// `tbs` *and* signature bytes) or reduced to the only part validation can
+/// observe: the root store enters through its content id, the CRL through
+/// "is the leaf's serial revoked".
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct ValidationKey {
+    store: u64,
+    chain: Box<[[u8; 32]]>,
+    hostname: Box<str>,
+    now: u64,
+    /// `check_hostname`, `check_expiry`, `check_revocation`, leaf revoked.
+    flags: [bool; 4],
+}
+
+impl ValidationKey {
+    fn new(
+        chain: &[Certificate],
+        store: &RootStore,
+        hostname: &str,
+        now: SimTime,
+        crl: &RevocationList,
+        options: &ValidationOptions,
+    ) -> Self {
+        let leaf_revoked = chain
+            .first()
+            .is_some_and(|leaf| crl.is_revoked(leaf.tbs.serial));
+        ValidationKey {
+            store: store.content_id(),
+            chain: chain.iter().map(Certificate::fingerprint_sha256).collect(),
+            hostname: hostname.into(),
+            now: now.0,
+            flags: [
+                options.check_hostname,
+                options.check_expiry,
+                options.check_revocation,
+                leaf_revoked,
+            ],
+        }
+    }
+}
+
+/// Memoized verdicts, keyed by every input they were computed from.
+type ValidationMemo = RwLock<HashMap<ValidationKey, Result<(), ValidationError>>>;
 
 /// The process-wide chain-validation memo.
 fn validation_memo() -> &'static ValidationMemo {
@@ -305,38 +351,15 @@ fn validation_memo() -> &'static ValidationMemo {
     MEMO.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-/// Collapses every input [`validate_chain`] reads into one collision-
-/// resistant key. Each dimension is either hashed in full (certificate
-/// fingerprints cover `tbs` *and* signature bytes; the hostname is length-
-/// prefixed) or reduced to the only bit validation can observe (the CRL
-/// enters solely through "is the leaf's serial revoked").
-fn validation_key(
-    chain: &[Certificate],
-    store: &RootStore,
-    hostname: &str,
-    now: SimTime,
-    crl: &RevocationList,
-    options: &ValidationOptions,
-) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(&store.content_id().to_le_bytes());
-    h.update(&(chain.len() as u64).to_le_bytes());
-    for cert in chain {
-        h.update(&cert.fingerprint_sha256());
-    }
-    h.update(&(hostname.len() as u64).to_le_bytes());
-    h.update(hostname.as_bytes());
-    h.update(&now.0.to_le_bytes());
-    let leaf_revoked = chain
-        .first()
-        .is_some_and(|leaf| crl.is_revoked(leaf.tbs.serial));
-    h.update(&[
-        options.check_hostname as u8,
-        options.check_expiry as u8,
-        options.check_revocation as u8,
-        leaf_revoked as u8,
-    ]);
-    h.finalize()
+/// A verdict from [`validate_chain_cached_within`], with whether the memo
+/// already held it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CachedVerdict {
+    /// The validation verdict, identical to [`validate_chain`]'s.
+    pub verdict: Result<(), ValidationError>,
+    /// `true` iff the verdict was served from the memo; always `false`
+    /// with caching disabled.
+    pub hit: bool,
 }
 
 /// Memoized [`validate_chain`]: identical semantics, but repeated
@@ -366,9 +389,11 @@ pub fn validate_chain_cached(
         &Deadline::unlimited(),
     )
     .expect("unlimited deadline cannot expire")
+    .verdict
 }
 
-/// [`validate_chain_cached`] under a work-budget deadline.
+/// [`validate_chain_cached`] under a work-budget deadline, reporting
+/// whether the verdict came from the memo.
 ///
 /// Memo hits cost only [`COST_MEMO_PROBE`]; misses pay the probe plus the
 /// full [`validate_chain_within`] walk. A verdict that timed out is
@@ -384,15 +409,22 @@ pub fn validate_chain_cached_within(
     crl: &RevocationList,
     options: &ValidationOptions,
     deadline: &Deadline,
-) -> Result<Result<(), ValidationError>, DeadlineExceeded> {
+) -> Result<CachedVerdict, DeadlineExceeded> {
     if !cache::caching_enabled() {
-        return validate_chain_within(chain, store, hostname, now, crl, options, deadline);
+        let verdict = validate_chain_within(chain, store, hostname, now, crl, options, deadline)?;
+        return Ok(CachedVerdict {
+            verdict,
+            hit: false,
+        });
     }
     deadline.charge(COST_MEMO_PROBE)?;
-    let key = validation_key(chain, store, hostname, now, crl, options);
+    let key = ValidationKey::new(chain, store, hostname, now, crl, options);
     if let Some(verdict) = validation_memo().read().expect("memo poisoned").get(&key) {
         cache::CHAIN_VALIDATION.hit();
-        return Ok(verdict.clone());
+        return Ok(CachedVerdict {
+            verdict: verdict.clone(),
+            hit: true,
+        });
     }
     cache::CHAIN_VALIDATION.miss();
     let verdict = validate_chain_within(chain, store, hostname, now, crl, options, deadline)?;
@@ -400,7 +432,10 @@ pub fn validate_chain_cached_within(
         .write()
         .expect("memo poisoned")
         .insert(key, verdict.clone());
-    Ok(verdict)
+    Ok(CachedVerdict {
+        verdict,
+        hit: false,
+    })
 }
 
 /// Probes the validation memo without computing anything: `Some(verdict)`
@@ -422,7 +457,7 @@ pub fn cached_chain_verdict(
     if !cache::caching_enabled() {
         return None;
     }
-    let key = validation_key(chain, store, hostname, now, crl, options);
+    let key = ValidationKey::new(chain, store, hostname, now, crl, options);
     validation_memo()
         .read()
         .expect("memo poisoned")
@@ -448,6 +483,7 @@ mod tests {
     struct Fixture {
         store: RootStore,
         chain: Vec<Certificate>,
+        root_key: KeyPair,
     }
 
     fn fixture() -> Fixture {
@@ -475,6 +511,7 @@ mod tests {
         Fixture {
             store,
             chain: vec![leaf, inter.cert.clone(), root.cert.clone()],
+            root_key: root.keypair().clone(),
         }
     }
 
@@ -741,34 +778,289 @@ mod tests {
         );
     }
 
+    /// Serializes the tests that clear the process-global memo or read
+    /// entries back from it (tests share one process).
+    static MEMO_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn memo_lock() -> std::sync::MutexGuard<'static, ()> {
+        MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// One full set of validation inputs.
+    struct Case<'a> {
+        label: &'static str,
+        chain: Vec<Certificate>,
+        store: &'a RootStore,
+        host: &'static str,
+        now: SimTime,
+        crl: RevocationList,
+        options: ValidationOptions,
+    }
+
     #[test]
     fn cached_validation_matches_uncached_across_scenarios() {
         let f = fixture();
+        let _guard = memo_lock();
         clear_validation_cache();
-        let scenarios: Vec<(&[Certificate], &str, SimTime)> = vec![
-            (&f.chain, "pay.shop.com", SimTime(100)),
-            (&f.chain[..2], "pay.shop.com", SimTime(100)),
-            (&f.chain, "v1.api.shop.com", SimTime(100)),
-            (&f.chain, "evil.com", SimTime(100)),
-            (&f.chain, "pay.shop.com", SimTime(2 * YEAR)),
-            (&[], "pay.shop.com", SimTime(1)),
+
+        // Every case below differs from `base` in exactly one key field.
+        let base = || Case {
+            label: "base",
+            chain: f.chain.clone(),
+            store: &f.store,
+            host: "pay.shop.com",
+            now: SimTime(100),
+            crl: RevocationList::empty(),
+            options: ValidationOptions::default(),
+        };
+        let mut bigger_store = f.store.clone();
+        bigger_store.add(
+            CertificateAuthority::new_root(
+                DistinguishedName::new("Other Root", "Sim", "US"),
+                &mut SplitMix64::new(0x07e5),
+                SimTime(0),
+            )
+            .cert,
+        );
+        let mut resigned_leaf = f.chain.clone();
+        resigned_leaf[0].signature.0[0] ^= 1;
+        resigned_leaf[0].invalidate_derived();
+        let mut revoked = RevocationList::empty();
+        revoked.revoke(f.chain[0].tbs.serial);
+        let cases = vec![
+            base(),
+            Case {
+                label: "hostname",
+                host: "v1.api.shop.com",
+                ..base()
+            },
+            Case {
+                label: "mismatched hostname",
+                host: "evil.com",
+                ..base()
+            },
+            Case {
+                label: "signature bytes only",
+                chain: resigned_leaf,
+                ..base()
+            },
+            Case {
+                label: "one more root in the store",
+                store: &bigger_store,
+                ..base()
+            },
+            Case {
+                label: "revoked leaf",
+                crl: revoked,
+                ..base()
+            },
+            Case {
+                label: "check_hostname off",
+                options: ValidationOptions {
+                    check_hostname: false,
+                    ..Default::default()
+                },
+                ..base()
+            },
+            Case {
+                label: "check_expiry off",
+                options: ValidationOptions {
+                    check_expiry: false,
+                    ..Default::default()
+                },
+                ..base()
+            },
+            Case {
+                label: "check_revocation off",
+                options: ValidationOptions {
+                    check_revocation: false,
+                    ..Default::default()
+                },
+                ..base()
+            },
+            Case {
+                label: "chain prefix",
+                chain: f.chain[..2].to_vec(),
+                ..base()
+            },
+            Case {
+                label: "time",
+                now: SimTime(2 * YEAR),
+                ..base()
+            },
+            Case {
+                label: "empty chain",
+                chain: Vec::new(),
+                ..base()
+            },
         ];
-        for (chain, host, now) in &scenarios {
-            let plain = ok(&f, chain, host, *now);
+
+        let keys: HashSet<ValidationKey> = cases
+            .iter()
+            .map(|c| ValidationKey::new(&c.chain, c.store, c.host, c.now, &c.crl, &c.options))
+            .collect();
+        assert_eq!(keys.len(), cases.len(), "two cases share a memo key");
+
+        for c in &cases {
+            let plain = validate_chain(&c.chain, c.store, c.host, c.now, &c.crl, &c.options);
             // First cached call computes, second must serve the memo —
             // both byte-identical to the plain validator.
-            for _ in 0..2 {
-                let cached = validate_chain_cached(
-                    chain,
-                    &f.store,
-                    host,
-                    *now,
-                    &RevocationList::empty(),
-                    &ValidationOptions::default(),
+            for hit in [false, true] {
+                let cached = validate_chain_cached_within(
+                    &c.chain,
+                    c.store,
+                    c.host,
+                    c.now,
+                    &c.crl,
+                    &c.options,
+                    &Deadline::unlimited(),
+                )
+                .expect("unlimited deadline");
+                assert_eq!(
+                    cached,
+                    CachedVerdict {
+                        verdict: plain.clone(),
+                        hit
+                    },
+                    "{}",
+                    c.label
                 );
-                assert_eq!(cached, plain, "{host} at {now:?}");
             }
         }
+        // Each case still finds its own verdict once all are memoized.
+        for c in &cases {
+            let plain = validate_chain(&c.chain, c.store, c.host, c.now, &c.crl, &c.options);
+            assert_eq!(
+                cached_chain_verdict(&c.chain, c.store, c.host, c.now, &c.crl, &c.options),
+                Some(plain),
+                "{}",
+                c.label
+            );
+        }
+    }
+
+    /// `f.chain` with its root replaced by `top`.
+    fn chain_topped_by(f: &Fixture, top: Certificate) -> Vec<Certificate> {
+        vec![f.chain[0].clone(), f.chain[1].clone(), top]
+    }
+
+    /// A copy of `cert` with `edit` applied and the derived cache dropped.
+    fn edited(cert: &Certificate, edit: impl FnOnce(&mut Certificate)) -> Certificate {
+        let mut c = cert.clone();
+        edit(&mut c);
+        c.invalidate_derived();
+        c
+    }
+
+    #[test]
+    fn byte_identical_stored_root_anchors() {
+        let f = fixture();
+        assert!(f.store.is_verified_anchor(&f.chain[2]));
+        ok(&f, &f.chain, "pay.shop.com", SimTime(100)).unwrap();
+    }
+
+    #[test]
+    fn tampered_self_signature_on_trusted_subject_and_key_is_unknown_root() {
+        let f = fixture();
+        let forged = edited(&f.chain[2], |c| c.signature.0[7] ^= 0x40);
+        assert!(f.store.contains(&forged), "same subject and SPKI");
+        assert!(!f.store.is_verified_anchor(&forged));
+        assert!(matches!(
+            ok(
+                &f,
+                &chain_topped_by(&f, forged),
+                "pay.shop.com",
+                SimTime(100)
+            ),
+            Err(ValidationError::UnknownRoot { .. })
+        ));
+    }
+
+    #[test]
+    fn reissued_root_anchors_through_the_slow_path() {
+        let f = fixture();
+        let reissued = edited(&f.chain[2], |c| {
+            c.tbs.validity = Validity::starting(SimTime(50), 30 * YEAR);
+            c.signature = f.root_key.sign(&c.tbs.to_bytes());
+        });
+        assert!(!f.store.is_verified_anchor(&reissued));
+        let chain = chain_topped_by(&f, reissued);
+        ok(&f, &chain, "pay.shop.com", SimTime(100)).unwrap();
+        // Both anchor paths charge the same work.
+        let spent = |chain: &[Certificate]| {
+            let deadline = Deadline::with_budget(10_000);
+            validate_chain_within(
+                chain,
+                &f.store,
+                "pay.shop.com",
+                SimTime(100),
+                &RevocationList::empty(),
+                &ValidationOptions::default(),
+                &deadline,
+            )
+            .expect("generous deadline")
+            .unwrap();
+            deadline.spent()
+        };
+        assert_eq!(spent(&chain), spent(&f.chain));
+    }
+
+    #[test]
+    fn root_added_with_bad_self_signature_never_takes_the_fast_path() {
+        let f = fixture();
+        let bad_root = edited(&f.chain[2], |c| c.signature.0[0] ^= 1);
+        let mut store = RootStore::new("bad");
+        assert!(store.add(bad_root.clone()));
+        assert!(!store.is_verified_anchor(&bad_root));
+        let check = |chain: &[Certificate]| {
+            validate_chain(
+                chain,
+                &store,
+                "pay.shop.com",
+                SimTime(100),
+                &RevocationList::empty(),
+                &ValidationOptions::default(),
+            )
+        };
+        assert!(matches!(
+            check(&chain_topped_by(&f, bad_root)),
+            Err(ValidationError::UnknownRoot { .. })
+        ));
+        // Without the root in the chain, only the root's key matters.
+        check(&f.chain[..2]).unwrap();
+    }
+
+    #[test]
+    fn removed_and_readded_roots_anchor_by_their_current_content() {
+        let f = fixture();
+        let mut store = f.store.clone();
+        let subject = f.chain[2].tbs.subject.clone();
+        let check = |store: &RootStore| {
+            validate_chain(
+                &f.chain,
+                store,
+                "pay.shop.com",
+                SimTime(100),
+                &RevocationList::empty(),
+                &ValidationOptions::default(),
+            )
+        };
+        let root = store.remove(&subject).expect("present");
+        assert!(!store.is_verified_anchor(&root));
+        assert!(matches!(
+            check(&store),
+            Err(ValidationError::UnknownRoot { .. })
+        ));
+        assert!(store.add(root.clone()));
+        assert!(store.is_verified_anchor(&root));
+        check(&store).unwrap();
+        // A stored copy with a bad self-signature is not a verified
+        // anchor. The presented root still matches it by subject and SPKI
+        // and verifies itself, so the slow path anchors it, as before.
+        store.remove(&subject);
+        assert!(store.add(edited(&root, |c| c.signature.0[0] ^= 1)));
+        assert!(!store.is_verified_anchor(&root));
+        check(&store).unwrap();
     }
 
     #[test]
@@ -874,7 +1166,9 @@ mod tests {
             )
         );
         // 3-cert chain: setup + overhead, 2 walk verifies + 1 self-signed
-        // anchor verify, anchor lookup, hostname, revocation.
+        // anchor verify, anchor lookup, hostname, revocation. The top is
+        // the stored root itself, so the anchor takes the verified-anchor
+        // path and is still charged its verify.
         let expected = COST_CHAIN_SETUP
             + 3 * COST_PER_CERT_OVERHEAD
             + 3 * COST_SIGNATURE_VERIFY
@@ -891,6 +1185,7 @@ mod tests {
         // process-global and tests share one process).
         let host = "v9.api.shop.com";
         let chain = &f.chain;
+        let _guard = memo_lock();
         clear_validation_cache();
         let crl = RevocationList::empty();
         let opts = ValidationOptions::default();
@@ -908,7 +1203,13 @@ mod tests {
         let out =
             validate_chain_cached_within(chain, &f.store, host, SimTime(100), &crl, &opts, &roomy)
                 .expect("roomy deadline");
-        assert_eq!(out, Ok(()));
+        assert_eq!(
+            out,
+            CachedVerdict {
+                verdict: Ok(()),
+                hit: false
+            }
+        );
         assert_eq!(
             cached_chain_verdict(chain, &f.store, host, SimTime(100), &crl, &opts),
             Some(Ok(()))

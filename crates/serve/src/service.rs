@@ -34,7 +34,8 @@ use pinning_ctlog::{verify_inclusion, LogSet, PinResolver};
 use pinning_pki::store::RootStore;
 use pinning_pki::time::SimTime;
 use pinning_pki::validate::{
-    cached_chain_verdict, validate_chain_cached_within, RevocationList, ValidationOptions,
+    cached_chain_verdict, validate_chain_cached_within, CachedVerdict, RevocationList,
+    ValidationOptions,
 };
 use pinning_pki::Certificate;
 use pinning_resilience::{Admission, BreakerSet, Deadline};
@@ -336,18 +337,8 @@ impl<'a> PinService<'a> {
                         Err(e) => return Outcome::Ok(Payload::Undecodable(e)),
                     }
                 }
-                // Probe the memo first purely for accounting: the service
-                // reports its own hit rate without touching the study's
-                // global cache counters.
-                let was_cached = cached_chain_verdict(
-                    &chain,
-                    self.backend.roots,
-                    hostname,
-                    self.backend.now,
-                    &self.backend.crl,
-                    &self.backend.options,
-                )
-                .is_some();
+                // The service counts its own hits and misses from the
+                // memo's answer.
                 match validate_chain_cached_within(
                     &chain,
                     self.backend.roots,
@@ -357,8 +348,8 @@ impl<'a> PinService<'a> {
                     &self.backend.options,
                     deadline,
                 ) {
-                    Ok(verdict) => {
-                        if was_cached {
+                    Ok(CachedVerdict { verdict, hit }) => {
+                        if hit {
                             self.cache_hits += 1;
                         } else {
                             self.cache_misses += 1;
