@@ -3,19 +3,22 @@
 
 use crate::dynamics::pipeline::AppDynamicResult;
 use crate::statics::StaticFindings;
-use pinning_crypto::Sha256;
 use pinning_ctlog::PinResolver;
 use pinning_netsim::network::Network;
-use pinning_pki::cache::{self, CacheCounter};
+use pinning_pki::cache::CacheCounter;
 use pinning_pki::chain::CertificateChain;
 use pinning_pki::store::RootStore;
 use pinning_pki::time::SimTime;
 use pinning_pki::validate::{validate_chain, RevocationList, ValidationOptions};
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{OnceLock, RwLock};
+use std::collections::BTreeSet;
 
-/// Telemetry for the destination-PKI classification memo.
+/// Inert: the PKI-classification memo is gone; this counter stays at zero.
+#[deprecated(note = "the PKI-classification memo was removed; this counter stays at zero")]
 pub static PKI_CLASSIFICATION: CacheCounter = CacheCounter::new("pki-classification");
+
+/// Inert: the PKI-classification memo is gone, so there is nothing to clear.
+#[deprecated(note = "the PKI-classification memo was removed; this does nothing")]
+pub fn clear_classification_cache() {}
 
 /// Table 6's three buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,29 +46,7 @@ pub fn classify_destination_pki(
     let Some(server) = network.resolve(destination) else {
         return PkiClass::DataUnavailable;
     };
-    let chain = &server.chain;
-    if !cache::caching_enabled() {
-        return classify_chain(chain, mozilla, all_public, destination, now);
-    }
-    // Classification ignores hostnames (`check_hostname: false` below), so
-    // the memo key can omit `destination`: many destinations serving the
-    // same SDK chain classify once.
-    let key = classification_key(chain, mozilla, all_public, now);
-    if let Some(class) = classification_memo()
-        .read()
-        .expect("classification memo poisoned")
-        .get(&key)
-    {
-        PKI_CLASSIFICATION.hit();
-        return *class;
-    }
-    PKI_CLASSIFICATION.miss();
-    let class = classify_chain(chain, mozilla, all_public, destination, now);
-    classification_memo()
-        .write()
-        .expect("classification memo poisoned")
-        .insert(key, class);
-    class
+    classify_chain(&server.chain, mozilla, all_public, destination, now)
 }
 
 fn classify_chain(
@@ -107,42 +88,6 @@ fn classify_chain(
         }
     }
     PkiClass::CustomPki
-}
-
-fn classification_memo() -> &'static RwLock<HashMap<[u8; 32], PkiClass>> {
-    static MEMO: OnceLock<RwLock<HashMap<[u8; 32], PkiClass>>> = OnceLock::new();
-    MEMO.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-/// Digest over everything [`classify_chain`] reads: the chain's certificate
-/// fingerprints, the content identity of every consulted store, and the
-/// evaluation time.
-fn classification_key(
-    chain: &CertificateChain,
-    mozilla: &RootStore,
-    all_public: &[&RootStore],
-    now: SimTime,
-) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(&mozilla.content_id().to_le_bytes());
-    h.update(&(all_public.len() as u64).to_le_bytes());
-    for store in all_public {
-        h.update(&store.content_id().to_le_bytes());
-    }
-    h.update(&(chain.len() as u64).to_le_bytes());
-    for cert in chain.certs() {
-        h.update(&cert.fingerprint_sha256());
-    }
-    h.update(&now.0.to_le_bytes());
-    h.finalize()
-}
-
-/// Empties the classification memo (bench A/B legs start cold).
-pub fn clear_classification_cache() {
-    classification_memo()
-        .write()
-        .expect("classification memo poisoned")
-        .clear();
 }
 
 /// Whether the destination presents a bare self-signed certificate

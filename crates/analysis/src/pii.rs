@@ -2,10 +2,8 @@
 //! (§4.4, §5.5).
 
 use pinning_app::pii::{DeviceIdentity, PiiType};
-use pinning_crypto::Sha256;
-use pinning_pki::cache::{self, CacheCounter};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{OnceLock, RwLock};
+use pinning_pki::cache::CacheCounter;
+use std::collections::BTreeMap;
 
 /// Detects which PII types appear in a request body, by matching the test
 /// device's known identifier values (the paper controls the device, so
@@ -17,74 +15,13 @@ pub fn detect_pii(identity: &DeviceIdentity, body: &str) -> Vec<PiiType> {
         .collect()
 }
 
-/// Hit/miss telemetry for the memoized PII scan.
+/// Inert: the PII-scan memo is gone; this counter stays at zero.
+#[deprecated(note = "the PII-scan memo was removed; this counter stays at zero")]
 pub static PII_SCAN: CacheCounter = CacheCounter::new("pii-scan");
 
-fn pii_memo() -> &'static RwLock<HashMap<[u8; 32], u8>> {
-    static MEMO: OnceLock<RwLock<HashMap<[u8; 32], u8>>> = OnceLock::new();
-    MEMO.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-fn pii_key(identity: &DeviceIdentity, body: &str) -> [u8; 32] {
-    let mut h = Sha256::new();
-    // The identity's values participate in the key so two devices with
-    // different identifiers never share a memo slot.
-    for p in PiiType::ALL {
-        let v = identity.value_of(p);
-        h.update(&(v.len() as u64).to_le_bytes());
-        h.update(v.as_bytes());
-    }
-    h.update(body.as_bytes());
-    h.finalize()
-}
-
-fn mask_of(found: &[PiiType]) -> u8 {
-    let mut mask = 0u8;
-    for (bit, p) in PiiType::ALL.iter().enumerate() {
-        if found.contains(p) {
-            mask |= 1 << bit;
-        }
-    }
-    mask
-}
-
-fn unmask(mask: u8) -> Vec<PiiType> {
-    PiiType::ALL
-        .into_iter()
-        .enumerate()
-        .filter(|(bit, _)| mask & (1 << bit) != 0)
-        .map(|(_, p)| p)
-        .collect()
-}
-
-/// Memoized [`detect_pii`]: keyed by the device identity's identifier
-/// values and the body, so repeated scans of the same flow (Table 9 is
-/// folded twice per render, and many more times in benches) hit a bitmask
-/// lookup instead of re-running seven substring searches. Respects the
-/// global cache kill switch; output is byte-identical because the mask
-/// decodes in `PiiType::ALL` order, exactly as the filter produces it.
-pub fn detect_pii_cached(identity: &DeviceIdentity, body: &str) -> Vec<PiiType> {
-    if !cache::caching_enabled() {
-        return detect_pii(identity, body);
-    }
-    let key = pii_key(identity, body);
-    if let Some(mask) = pii_memo().read().expect("memo lock").get(&key) {
-        PII_SCAN.hit();
-        return unmask(*mask);
-    }
-    PII_SCAN.miss();
-    let found = detect_pii(identity, body);
-    pii_memo()
-        .write()
-        .expect("memo lock")
-        .insert(key, mask_of(&found));
-    found
-}
-
-/// Drops every memoized PII scan (tests and cache-ablation benches).
-pub fn clear_pii_scan_cache() {
-    pii_memo().write().expect("memo lock").clear();
-}
+/// Inert: the PII-scan memo is gone, so there is nothing to clear.
+#[deprecated(note = "the PII-scan memo was removed; this does nothing")]
+pub fn clear_pii_scan_cache() {}
 
 /// A 2×2 contingency table: PII presence × pinned/non-pinned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -159,14 +96,11 @@ pub struct PiiComparison {
 impl PiiComparison {
     /// Folds one decrypted body into the comparison.
     pub fn add_body(&mut self, identity: &DeviceIdentity, body: &str, pinned: bool) {
-        let found = detect_pii_cached(identity, body);
-        self.add_detected(&found, pinned);
+        self.add_detected(&detect_pii(identity, body), pinned);
     }
 
-    /// Folds an already-scanned body into the comparison. The streaming
-    /// engine scans with plain [`detect_pii`] and calls this directly:
-    /// every streamed body is seen exactly once, so memoizing them would
-    /// only grow the process-global cache without ever hitting.
+    /// Folds one body's detected PII types (a [`detect_pii`] result) into
+    /// the comparison: [`PiiComparison::add_body`] without the scan.
     pub fn add_detected(&mut self, found: &[PiiType], pinned: bool) {
         if pinned {
             self.pinned_bodies += 1;
@@ -286,35 +220,6 @@ mod tests {
         assert_eq!(cmp.unpinned_bodies, 3);
         assert!((t.pinned_pct() - 50.0).abs() < 1e-9);
         assert!((t.unpinned_pct() - 33.333).abs() < 0.01);
-    }
-
-    #[test]
-    fn cached_scan_matches_uncached_and_counts_hits() {
-        let id = identity();
-        let body = id.render_payload(&[PiiType::Email, PiiType::LatLon], 7);
-        let base = PII_SCAN.snapshot();
-        let first = detect_pii_cached(&id, &body);
-        let second = detect_pii_cached(&id, &body);
-        assert_eq!(first, detect_pii(&id, &body));
-        assert_eq!(first, second);
-        let stat = PII_SCAN.snapshot().delta_since(&base);
-        assert!(stat.hits >= 1, "second scan should hit: {stat:?}");
-
-        // A different identity must not share the memo slot.
-        let other = DeviceIdentity::generate(&mut SplitMix64::new(0x2e));
-        assert_eq!(detect_pii_cached(&other, &body), detect_pii(&other, &body));
-    }
-
-    #[test]
-    fn cache_kill_switch_bypasses_memo() {
-        let id = identity();
-        let body = id.render_payload(&[PiiType::Imei], 3);
-        let _off = cache::caching_disabled_scope();
-        let base = PII_SCAN.snapshot();
-        let found = detect_pii_cached(&id, &body);
-        assert_eq!(found, detect_pii(&id, &body));
-        let stat = PII_SCAN.snapshot().delta_since(&base);
-        assert_eq!(stat.hits + stat.misses, 0, "kill switch must skip counters");
     }
 
     #[test]

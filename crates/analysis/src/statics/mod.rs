@@ -6,11 +6,8 @@ pub mod nsc;
 pub mod scanner;
 
 use pinning_app::package::AppPackage;
-use pinning_crypto::Sha256;
-use pinning_pki::cache::{self, CacheCounter};
+use pinning_pki::cache::CacheCounter;
 use pinning_pki::Certificate;
-use std::collections::HashMap;
-use std::sync::{OnceLock, RwLock};
 
 /// Where a static finding was located.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +29,7 @@ pub struct FoundPin {
 }
 
 /// Everything static analysis extracted from one app.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StaticFindings {
     /// Certificates recovered from asset files or PEM blobs.
     pub embedded_certs: Vec<Located<Certificate>>,
@@ -94,87 +91,16 @@ pub fn analyze_package(package: &AppPackage, decryption_key: Option<u64>) -> Sta
     findings
 }
 
-/// Hit/miss telemetry for the memoized static scan.
+/// Inert: the static-scan memo is gone; this counter stays at zero.
+#[deprecated(note = "the static-scan memo was removed; this counter stays at zero")]
 pub static STATIC_SCAN: CacheCounter = CacheCounter::new("static-scan");
 
-fn scan_memo() -> &'static RwLock<HashMap<[u8; 32], StaticFindings>> {
-    static MEMO: OnceLock<RwLock<HashMap<[u8; 32], StaticFindings>>> = OnceLock::new();
-    MEMO.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-fn scan_key(package: &AppPackage, decryption_key: Option<u64>) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(&package.content_hash());
-    // The key only matters for encrypted packages, but folding it in
-    // unconditionally keeps the key derivation state-free.
-    match decryption_key {
-        Some(k) => {
-            h.update(&[1]);
-            h.update(&k.to_le_bytes());
-        }
-        None => h.update(&[0]),
-    }
-    h.finalize()
-}
-
-/// Memoized [`analyze_package`]: keyed by the package's content hash and
-/// the decryption key, so identical inputs scan once per process.
-///
-/// The incremental re-study engine leans on this across epochs — apps whose
-/// packages did not change replay the scan from the memo instead of
-/// re-walking every file. Respects the global cache kill switch.
+/// Inert: forwards to [`analyze_package`], now that the static-scan memo is gone.
+#[deprecated(note = "the static-scan memo was removed; call analyze_package")]
 pub fn analyze_package_cached(package: &AppPackage, decryption_key: Option<u64>) -> StaticFindings {
-    if !cache::caching_enabled() {
-        return analyze_package(package, decryption_key);
-    }
-    let key = scan_key(package, decryption_key);
-    if let Some(found) = scan_memo().read().expect("memo lock").get(&key) {
-        STATIC_SCAN.hit();
-        return found.clone();
-    }
-    STATIC_SCAN.miss();
-    let findings = analyze_package(package, decryption_key);
-    scan_memo()
-        .write()
-        .expect("memo lock")
-        .insert(key, findings.clone());
-    findings
+    analyze_package(package, decryption_key)
 }
 
-/// Drops every memoized static scan (tests and cache-ablation benches).
-pub fn clear_static_scan_cache() {
-    scan_memo().write().expect("memo lock").clear();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pinning_app::package::AppFile;
-    use pinning_app::platform::Platform;
-
-    #[test]
-    fn cached_scan_matches_uncached_and_counts_hits() {
-        let pkg = AppPackage::new(
-            Platform::Android,
-            vec![
-                AppFile::text("AndroidManifest.xml", "<manifest/>"),
-                AppFile::text(
-                    "res/xml/network_security_config.xml",
-                    "<network-security-config/>",
-                ),
-            ],
-        );
-        let cold = analyze_package(&pkg, None);
-        let base = STATIC_SCAN.snapshot();
-        let first = analyze_package_cached(&pkg, None);
-        let second = analyze_package_cached(&pkg, None);
-        assert_eq!(format!("{cold:?}"), format!("{first:?}"));
-        assert_eq!(format!("{first:?}"), format!("{second:?}"));
-        let delta = STATIC_SCAN.snapshot().delta_since(&base);
-        assert!(delta.hits >= 1, "second scan must hit the memo");
-
-        // Distinct decryption keys key distinct entries.
-        assert_ne!(scan_key(&pkg, None), scan_key(&pkg, Some(7)));
-        assert_ne!(scan_key(&pkg, Some(7)), scan_key(&pkg, Some(8)));
-    }
-}
+/// Inert: the static-scan memo is gone, so there is nothing to clear.
+#[deprecated(note = "the static-scan memo was removed; this does nothing")]
+pub fn clear_static_scan_cache() {}

@@ -129,8 +129,8 @@ impl AppPackage {
     /// state, and every file's path and bytes, in file order.
     ///
     /// Two packages hash equal iff static analysis would see identical
-    /// input, so the digest serves as the memo key for cached static scans
-    /// and as the manifest component of the per-app epoch fingerprint.
+    /// input, so the digest serves as the package component of the
+    /// per-app epoch fingerprint: a clean app keeps its static findings.
     /// Memoized: the first call hashes, later calls return the cached
     /// digest (the epoch engine calls this once per app per epoch). In
     /// debug builds every call re-verifies the memo against the actual

@@ -12,11 +12,10 @@
 //!   modes) the incremental run is at least [`MIN_SPEEDUP`]× faster in
 //!   wall clock.
 //!
-//! The process-global memos (validation, classification, static-scan)
-//! are cleared before each mode so neither arm inherits the other's
-//! warm caches. Results go to `BENCH_epoch.json` at the workspace root,
-//! which is re-read and structurally checked before the bench reports
-//! success.
+//! The validation memo, the only process-global memo, is cleared before
+//! each mode so neither arm inherits the other's warm cache. Results go
+//! to `BENCH_epoch.json` at the workspace root, which is re-read and
+//! structurally checked before the bench reports success.
 //!
 //! ```sh
 //! cargo bench -p pinning-bench --bench epoch --offline            # full
@@ -73,17 +72,11 @@ fn epoch_config(smoke: bool) -> EpochConfig {
     }
 }
 
-/// Clears every process-global memo, so a mode starts genuinely cold.
-fn clear_global_memos() {
-    pinning_pki::validate::clear_validation_cache();
-    pinning_analysis::certs::clear_classification_cache();
-    pinning_analysis::statics::clear_static_scan_cache();
-}
-
 /// Runs all epochs in one mode, returning the engine plus the report
-/// rendered after every epoch (for the per-epoch byte comparison).
+/// rendered after every epoch (for the per-epoch byte comparison). The
+/// validation memo is cleared first, so the mode starts genuinely cold.
 fn run_mode(config: &EpochConfig, incremental: bool) -> (Evolution, Vec<String>) {
-    clear_global_memos();
+    pinning_pki::validate::clear_validation_cache();
     let mut engine = Evolution::new(config.clone(), incremental);
     let mut reports = Vec::new();
     for _ in 0..engine.epochs_total() {

@@ -17,8 +17,6 @@
 //! cargo bench -p pinning-bench --bench perf --offline -- smoke   # CI gate
 //! ```
 
-use pinning_analysis::certs::clear_classification_cache;
-use pinning_analysis::pii::clear_pii_scan_cache;
 use pinning_app::platform::Platform;
 use pinning_bench::{
     bench_threads, bench_world_config, shared_results, time_bench_stats, BenchStats,
@@ -281,13 +279,11 @@ impl EndToEnd {
     }
 }
 
-/// Runs one full study + report render, cold: the global memos are cleared
-/// first, and each leg generates its own world, so per-certificate caches
-/// start empty either way.
+/// Runs one full study + report render, cold: the validation memo (the
+/// only process-global one) is cleared first, and each leg generates its
+/// own world, so per-certificate caches start empty either way.
 fn study_leg(config: StudyConfig) -> (String, f64, usize) {
     clear_validation_cache();
-    clear_classification_cache();
-    clear_pii_scan_cache();
     let t0 = Instant::now();
     let results = Study::new(config).run();
     let report = results.render_all();

@@ -134,9 +134,7 @@ impl StreamAccum {
     ///
     /// `datasets` is the app's streamed-dataset membership;
     /// `identity` is the test device whose PII values the decrypted
-    /// bodies are scanned for. Bodies are scanned with the *uncached*
-    /// detector: streamed bodies are unique, so the process-global memo
-    /// would grow without bound and never hit.
+    /// bodies are scanned for.
     pub fn add_app(
         &mut self,
         datasets: &[DatasetKind],

@@ -637,10 +637,6 @@ impl StreamEngine {
 }
 
 /// Measures one streamed app to a record.
-///
-/// Statics go through the *uncached* analyzer on purpose: every streamed
-/// package is unique, so the process-global memo would never hit and
-/// would grow without bound — the opposite of the flat-memory goal.
 fn measure_one(
     env: &DynamicEnv<'_>,
     product_index: usize,

@@ -13,7 +13,7 @@ use crate::journal::{AppOutcome, JournalEntry, JournalError, ResultJournal};
 use crate::record::AppRecord;
 use pinning_analysis::circumvent::circumvent_app;
 use pinning_analysis::dynamics::pipeline::{try_analyze_app, DynamicEnv, RetryPolicy};
-use pinning_analysis::statics::analyze_package_cached;
+use pinning_analysis::statics::{analyze_package, StaticFindings};
 use pinning_app::pii::DeviceIdentity;
 use pinning_app::platform::Platform;
 use pinning_crypto::sha256;
@@ -164,8 +164,8 @@ pub struct RunHealth {
     /// Baseline snapshot of every derived-value cache, taken when the
     /// study started executing. `render_run_health` diffs the live
     /// counters against this, so the reported hit/miss rows cover the
-    /// whole run *including* render-time work (Table 6 classification,
-    /// the CT auditor's batched proofs). Empty when caching was
+    /// whole run *including* render-time work (Table 6's certificate
+    /// reads, the CT auditor's batched proofs). Empty when caching was
     /// disabled for the whole run.
     pub cache_base: Vec<pinning_pki::cache::CacheStat>,
 }
@@ -182,14 +182,11 @@ impl RunHealth {
 }
 
 /// Snapshots every derived-value cache the study exercises, in stable
-/// order: the pki certificate/validation caches, the CT proof-batch
-/// counter, and the analysis classification memo.
+/// order: the pki certificate/validation caches and the CT proof-batch
+/// counter.
 pub(crate) fn cache_snapshot() -> Vec<pinning_pki::cache::CacheStat> {
     let mut stats = pinning_pki::cache::snapshot_all();
     stats.push(pinning_ctlog::merkle::PROOF_BATCH.snapshot());
-    stats.push(pinning_analysis::certs::PKI_CLASSIFICATION.snapshot());
-    stats.push(pinning_analysis::statics::STATIC_SCAN.snapshot());
-    stats.push(pinning_analysis::pii::PII_SCAN.snapshot());
     stats
 }
 
@@ -295,7 +292,22 @@ impl Study {
         journal: ResultJournal,
         fingerprint: [u8; 32],
     ) -> Result<StudyOutcome, JournalError> {
-        self.execute_on(world, journal, RunHealth::default(), fingerprint)
+        self.run_on_world_with_statics(world, journal, fingerprint, BTreeMap::new())
+    }
+
+    /// [`Study::run_on_world`], handed the static findings of some apps
+    /// so only the others are scanned. The caller vouches that each
+    /// handed finding is what [`analyze_package`] returns for that app's
+    /// package in `world` — the epoch engine hands over a clean app's
+    /// prior findings, whose fingerprint covers the package content.
+    pub fn run_on_world_with_statics(
+        self,
+        world: World,
+        journal: ResultJournal,
+        fingerprint: [u8; 32],
+        statics: BTreeMap<usize, StaticFindings>,
+    ) -> Result<StudyOutcome, JournalError> {
+        self.execute_on(world, journal, RunHealth::default(), fingerprint, statics)
     }
 
     /// [`Study::resume`] for a pre-built world: recovers the journal's
@@ -319,7 +331,7 @@ impl Study {
         for entry in &replay.entries {
             journal.append(entry);
         }
-        self.execute_on(world, journal, health, fingerprint)
+        self.execute_on(world, journal, health, fingerprint, BTreeMap::new())
     }
 
     fn execute(
@@ -329,7 +341,7 @@ impl Study {
     ) -> Result<StudyOutcome, JournalError> {
         let fingerprint = self.config.fingerprint();
         let world = World::generate(self.config.world.clone());
-        self.execute_on(world, journal, health, fingerprint)
+        self.execute_on(world, journal, health, fingerprint, BTreeMap::new())
     }
 
     fn execute_on(
@@ -338,6 +350,7 @@ impl Study {
         journal: ResultJournal,
         mut health: RunHealth,
         fingerprint: [u8; 32],
+        mut statics: BTreeMap<usize, StaticFindings>,
     ) -> Result<StudyOutcome, JournalError> {
         health.cache_base = cache_snapshot();
         let handed = ResultJournal::open(journal.as_bytes())?;
@@ -388,8 +401,8 @@ impl Study {
         let decrypt_key = self.config.world.ios_encryption_seed;
 
         // One app, measured to a journal-ready outcome. Static findings
-        // are *not* measured here — they are recomputed deterministically
-        // at materialization, so the journal stays small.
+        // are *not* measured here — they are handed in or recomputed
+        // deterministically at materialization, so the journal stays small.
         let measure = |app_index: usize| -> AppOutcome {
             let app = &world.apps[app_index];
             if self.config.supervisor.inject_panic_app == Some(app_index) {
@@ -474,20 +487,23 @@ impl Study {
         }
 
         // Materialize results by replaying the finished journal: records
-        // come from committed observables plus world-derived statics, so an
-        // uninterrupted run and a resume produce identical results. The
-        // handed-in records were scrubbed and decoded above; only this
-        // run's commits are read back.
+        // come from committed observables plus world-derived statics
+        // (handed in, or scanned here), so an uninterrupted run and a
+        // resume produce identical results. The handed-in records were
+        // scrubbed and decoded above; only this run's commits are read
+        // back.
         let mut entries = handed.entries;
         entries.extend(journal.entries_since(handed_len));
         let mut records: BTreeMap<usize, AppRecord> = BTreeMap::new();
         for entry in &entries {
             let app_index = entry.app_index as usize;
             let app = &world.apps[app_index];
-            let static_findings = analyze_package_cached(
-                &app.package,
-                (app.id.platform == Platform::Ios).then_some(decrypt_key),
-            );
+            let static_findings = statics.remove(&app_index).unwrap_or_else(|| {
+                analyze_package(
+                    &app.package,
+                    (app.id.platform == Platform::Ios).then_some(decrypt_key),
+                )
+            });
             let record = match &entry.outcome {
                 AppOutcome::Measured(m) => {
                     health.breaker_trips += m.breaker_trips;

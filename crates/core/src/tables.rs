@@ -748,8 +748,8 @@ impl StudyResults {
             replayed_prior_epoch: self.health.replayed_prior_epoch,
             reanalyzed_dirty: self.health.reanalyzed_dirty,
             // Live delta against the study-start baseline, so cache work
-            // done while rendering tables (classification, batched CT
-            // proofs) is included.
+            // done while rendering tables (Table 6's certificate reads,
+            // batched CT proofs) is included.
             cache_rows: crate::study::cache_snapshot()
                 .iter()
                 .zip(&self.health.cache_base)

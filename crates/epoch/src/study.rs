@@ -13,7 +13,7 @@ use crate::fingerprint::{app_fingerprints_with, ServedState};
 use crate::plan::{apply_epoch, EpochConfig, EpochPlan};
 use crate::state::{EpochState, StateError};
 use pinning_analysis::dynamics::pipeline::RetryPolicy;
-use pinning_analysis::statics::analyze_package_cached;
+use pinning_analysis::statics::{analyze_package, StaticFindings};
 use pinning_app::platform::Platform;
 use pinning_core::journal::{AppOutcome, EncodedEntry, JournalEntry, JournalError, ResultJournal};
 use pinning_core::record::AppRecord;
@@ -257,22 +257,32 @@ impl Evolution {
         let replayed = measured.len() - dirty.len();
 
         // Pre-seed the journal with the clean apps' prior-epoch verdicts
-        // (app-index order). A resumed epoch brings its own journal,
-        // which already holds these plus whatever fresh apps committed.
+        // (app-index order), and hand the study their static findings: a
+        // clean app's fingerprint covers its package's content hash, so
+        // its findings cannot have changed. A resumed epoch brings its
+        // own journal, which already holds these plus whatever fresh apps
+        // committed, and scans every app as a fresh process does.
         let study = Study::new(self.study_config(kill_after));
         let outcome = match partial {
             Some(bytes) => study.resume_on_world(world, bytes, fingerprint)?,
             None => {
                 let mut journal = ResultJournal::create(fingerprint);
+                let mut statics = BTreeMap::new();
                 for &i in &measured {
                     if dirty.contains(&i) {
                         continue;
                     }
                     let frame = &self.frames[&i];
-                    debug_assert_eq!(*frame, encode_record(i, &self.records[&i]));
+                    let record = &self.records[&i];
+                    debug_assert_eq!(*frame, encode_record(i, record));
                     journal.append_encoded(frame);
+                    debug_assert_eq!(
+                        record.static_findings,
+                        scan(&world, i, self.config.world.ios_encryption_seed)
+                    );
+                    statics.insert(i, record.static_findings.clone());
                 }
-                study.run_on_world(world, journal, fingerprint)?
+                study.run_on_world_with_statics(world, journal, fingerprint, statics)?
             }
         };
 
@@ -576,10 +586,7 @@ impl Evolution {
         for entry in &replay.entries {
             let i = entry.app_index as usize;
             let app = &world.apps[i];
-            let statics = analyze_package_cached(
-                &app.package,
-                (app.id.platform == Platform::Ios).then_some(decrypt_key),
-            );
+            let statics = scan(world, i, decrypt_key);
             let record = match &entry.outcome {
                 AppOutcome::Measured(m) => AppRecord::from_measured(i, app.id.clone(), statics, m),
                 AppOutcome::Failed(e) => AppRecord::failed(i, app.id.clone(), statics, *e),
@@ -592,6 +599,15 @@ impl Evolution {
         engine.records = records;
         Ok(engine)
     }
+}
+
+/// The static scan of app `i` in `world`, as the study materializes it.
+fn scan(world: &World, i: usize, decrypt_key: u64) -> StaticFindings {
+    let app = &world.apps[i];
+    analyze_package(
+        &app.package,
+        (app.id.platform == Platform::Ios).then_some(decrypt_key),
+    )
 }
 
 /// A completed record, re-encoded as the journal record it came from.
@@ -639,6 +655,67 @@ mod tests {
             "evolution epochs must replay clean apps"
         );
         assert_eq!(cold.total_replayed(), 0);
+    }
+
+    #[test]
+    fn carried_static_findings_match_a_fresh_scan() {
+        use pinning_app::package::AppFile;
+        use pinning_crypto::{b64encode, sha256};
+
+        let config = EpochConfig::tiny(0xB6);
+        let key = config.world.ios_encryption_seed;
+        let mut ev = Evolution::new(config, true);
+        ev.next_epoch().unwrap();
+        for k in 1..ev.epochs_total() {
+            // No plan event changes package bytes, so update two packages
+            // by hand: an Android app gains a pin string, and an iOS app
+            // with pin material loses every file.
+            let world = ev
+                .world
+                .as_mut()
+                .expect("a completed epoch keeps its world");
+            let platform = |i: usize| world.apps[i].id.platform;
+            let gains = ev
+                .records
+                .keys()
+                .copied()
+                .filter(|&i| platform(i) == Platform::Android)
+                .nth(k)
+                .expect("an Android app");
+            let loses = ev
+                .records
+                .iter()
+                .find(|(&i, r)| {
+                    platform(i) == Platform::Ios && r.static_findings.has_pin_material()
+                })
+                .map(|(&i, _)| i)
+                .expect("an iOS app with pin material");
+            let pin = format!("sha256/{}", b64encode(&sha256(&k.to_le_bytes())));
+            let package = &mut world.apps[gains].package;
+            package
+                .files
+                .push(AppFile::text(format!("assets/pin_{k}.txt"), pin));
+            package.invalidate_content_hash();
+            let package = &mut world.apps[loses].package;
+            package.files.clear();
+            package.invalidate_content_hash();
+
+            ev.next_epoch().unwrap();
+            assert!(ev.costs[k].replayed > 0, "epoch {k} carries clean apps");
+            let world = ev
+                .world
+                .as_ref()
+                .expect("a completed epoch keeps its world");
+            for (&i, record) in &ev.records {
+                assert_eq!(
+                    record.static_findings,
+                    scan(world, i, key),
+                    "epoch {k}: app {i}'s static findings are stale"
+                );
+            }
+            assert!(ev.records[&gains].static_findings.has_pin_material());
+            assert!(!ev.records[&loses].static_findings.has_pin_material());
+        }
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! The caching layer must be invisible in every measured byte.
 //!
 //! The derived-value caches (certificate artifacts, chain-validation memo,
-//! PKI classification memo, batched Merkle proofs) exist purely for speed;
-//! these tests pin down the contract that turning them off — or changing
-//! the thread count, which changes cache interleaving — never changes a
-//! study's results.
+//! batched Merkle proofs) exist purely for speed; these tests pin down the
+//! contract that turning them off — or changing the thread count, which
+//! changes cache interleaving — never changes a study's results, on the
+//! monolithic study or on the incremental epoch engine.
 //!
 //! The kill-switch is process-global, so the tests here serialize around a
 //! single mutex instead of toggling it concurrently with each other.
 
 use app_tls_pinning::core::{Study, StudyConfig};
+use app_tls_pinning::epoch::{EpochConfig, Evolution};
 use app_tls_pinning::pki::cache::caching_disabled_scope;
 use std::sync::{Mutex, MutexGuard};
 
@@ -21,7 +22,6 @@ fn switch_lock() -> MutexGuard<'static, ()> {
 
 fn render(config: StudyConfig) -> String {
     app_tls_pinning::pki::validate::clear_validation_cache();
-    app_tls_pinning::analysis::certs::clear_classification_cache();
     Study::new(config).run().render_all()
 }
 
@@ -62,4 +62,32 @@ fn warm_global_caches_do_not_leak_into_results() {
     let first = Study::new(StudyConfig::tiny(0xAB03)).run().render_all();
     let second = Study::new(StudyConfig::tiny(0xAB03)).run().render_all();
     assert_eq!(first, second);
+}
+
+/// Every epoch's `full_report` of an incremental evolution.
+fn epoch_reports(config: EpochConfig) -> Vec<String> {
+    app_tls_pinning::pki::validate::clear_validation_cache();
+    let mut evolution = Evolution::new(config, true);
+    (0..evolution.epochs_total())
+        .map(|_| {
+            evolution.next_epoch().expect("epoch runs");
+            evolution.full_report()
+        })
+        .collect()
+}
+
+#[test]
+fn cached_and_uncached_epochs_report_identically() {
+    let _serial = switch_lock();
+    // The validation memo and the CT proof batches stay warm from one
+    // epoch to the next here, which a single study never exercises.
+    let cached = epoch_reports(EpochConfig::tiny(0xAB04));
+    let uncached = {
+        let _off = caching_disabled_scope();
+        epoch_reports(EpochConfig::tiny(0xAB04))
+    };
+    assert_eq!(cached.len(), uncached.len());
+    for (k, (c, u)) in cached.iter().zip(&uncached).enumerate() {
+        assert_eq!(c, u, "derived-value caching changed epoch {k}'s report");
+    }
 }
