@@ -46,9 +46,9 @@ cargo bench -q -p pinning-bench --bench fuzz --offline -- smoke
 echo "==> serve smoke (seeded overload: bounded queue, nonzero shed, same-seed determinism, offline-identical verdicts)"
 cargo bench -q -p pinning-bench --bench serve --offline -- smoke
 
-echo "==> epoch smoke (seeded 3-epoch evolution: incremental/cold byte-identity, nonzero replayed apps, speedup gate)"
+echo "==> epoch smoke (seeded 3-epoch evolution: incremental/cold byte-identity, nonzero replayed apps, median-of-pairs speedup gate)"
 cargo bench -q -p pinning-bench --bench epoch --offline -- smoke
-for key in '"schema": "pinning-bench/epoch"' '"byte_identical": true' '"per_epoch"' '"speedup"'; do
+for key in '"schema": "pinning-bench/epoch"' '"byte_identical": true' '"per_epoch"' '"pair_speedups"' '"speedup"'; do
   grep -qF "$key" BENCH_epoch.json || { echo "BENCH_epoch.json missing $key"; exit 1; }
 done
 if grep -qF '"replayed_total": 0' BENCH_epoch.json; then

@@ -12,6 +12,13 @@
 //!   modes) the incremental run is at least [`MIN_SPEEDUP`]× faster in
 //!   wall clock.
 //!
+//! The speedup is measured over [`PAIRS`] pairs of whole-mode runs. Each
+//! pair runs both modes back to back, alternating which goes first, and
+//! times every `next_epoch` in nanoseconds; the gate reads the median of
+//! the per-pair ratios, so one noisy run or a warm-up advantage for the
+//! mode that runs second cannot decide it. The byte-identity and
+//! nonzero-replay checks apply to every pair.
+//!
 //! The validation memo, the only process-global memo, is cleared before
 //! each mode so neither arm inherits the other's warm cache. Results go
 //! to `BENCH_epoch.json` at the workspace root, which is re-read and
@@ -25,9 +32,12 @@
 use pinning_epoch::{EpochConfig, Evolution};
 use pinning_store::config::WorldConfig;
 use std::path::Path;
+use std::time::Instant;
 
 const SEED: u64 = 0xE90C;
 const MIN_SPEEDUP: f64 = 3.0;
+/// Pairs of whole-mode runs the speedup gate takes its median over.
+const PAIRS: usize = 9;
 
 fn epoch_config(smoke: bool) -> EpochConfig {
     if smoke {
@@ -72,18 +82,44 @@ fn epoch_config(smoke: bool) -> EpochConfig {
     }
 }
 
-/// Runs all epochs in one mode, returning the engine plus the report
-/// rendered after every epoch (for the per-epoch byte comparison). The
-/// validation memo is cleared first, so the mode starts genuinely cold.
-fn run_mode(config: &EpochConfig, incremental: bool) -> (Evolution, Vec<String>) {
+/// One mode's run over every epoch.
+struct ModeRun {
+    engine: Evolution,
+    /// `full_report()` after every epoch, for the per-epoch byte check.
+    reports: Vec<String>,
+    /// Wall clock of the evolution epochs' `next_epoch` calls, summed.
+    evolution_ns: u128,
+}
+
+/// Runs all epochs in one mode. The validation memo is cleared first, so
+/// the mode starts genuinely cold.
+fn run_mode(config: &EpochConfig, incremental: bool) -> ModeRun {
     pinning_pki::validate::clear_validation_cache();
     let mut engine = Evolution::new(config.clone(), incremental);
     let mut reports = Vec::new();
-    for _ in 0..engine.epochs_total() {
+    let mut evolution_ns = 0;
+    for k in 0..engine.epochs_total() {
+        let started = Instant::now();
         engine.next_epoch().expect("epoch run");
+        // The baseline epoch does identical work in both modes and would
+        // dilute the signal.
+        if k > 0 {
+            evolution_ns += started.elapsed().as_nanos();
+        }
         reports.push(engine.full_report());
     }
-    (engine, reports)
+    ModeRun {
+        engine,
+        reports,
+        evolution_ns,
+    }
+}
+
+/// The middle value ([`PAIRS`] is odd).
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
 }
 
 fn main() {
@@ -95,45 +131,72 @@ fn main() {
     let config = epoch_config(smoke);
     let epochs_total = config.epochs + 1;
 
-    let (cold, cold_reports) = run_mode(&config, false);
+    let mut failures: Vec<String> = Vec::new();
+    let mut identical = true;
+    let mut speedups = Vec::new();
+    let (mut cold_ms, mut incr_ms) = (Vec::new(), Vec::new());
+    let mut last = None;
+    for pair in 0..PAIRS {
+        let cold_first = pair % 2 == 0;
+        let (cold, incr) = if cold_first {
+            let cold = run_mode(&config, false);
+            (cold, run_mode(&config, true))
+        } else {
+            let incr = run_mode(&config, true);
+            (run_mode(&config, false), incr)
+        };
+        for (k, (c, i)) in cold.reports.iter().zip(&incr.reports).enumerate() {
+            if c != i {
+                identical = false;
+                failures.push(format!(
+                    "pair {pair}, epoch {k}: incremental report is not byte-identical \
+                     to the cold re-run"
+                ));
+            }
+        }
+        if incr.engine.total_replayed() == 0 {
+            failures.push(format!(
+                "pair {pair}: incremental run replayed zero apps — dirty tracking is inert"
+            ));
+        }
+        let speedup = cold.evolution_ns as f64 / incr.evolution_ns.max(1) as f64;
+        println!(
+            "pair {pair} ({} first): cold {:.1} ms, incremental {:.1} ms, speedup {speedup:.2}x",
+            if cold_first { "cold" } else { "incremental" },
+            cold.evolution_ns as f64 / 1e6,
+            incr.evolution_ns as f64 / 1e6,
+        );
+        speedups.push(speedup);
+        cold_ms.push(cold.evolution_ns as f64 / 1e6);
+        incr_ms.push(incr.evolution_ns as f64 / 1e6);
+        last = Some((cold, incr));
+    }
+    let (cold, incr) = last.expect("at least one pair");
     println!(
         "cold: {} epochs, {} apps/epoch re-measured",
         epochs_total,
-        cold.costs().first().map(|c| c.reanalyzed).unwrap_or(0)
+        cold.engine
+            .costs()
+            .first()
+            .map(|c| c.reanalyzed)
+            .unwrap_or(0)
     );
-    let (incr, incr_reports) = run_mode(&config, true);
 
-    let mut failures: Vec<String> = Vec::new();
-
-    for (k, (c, i)) in cold_reports.iter().zip(&incr_reports).enumerate() {
-        if c != i {
-            failures.push(format!(
-                "epoch {k}: incremental report is not byte-identical to the cold re-run"
-            ));
-        }
-    }
-
-    let replayed_total = incr.total_replayed();
-    if replayed_total == 0 {
-        failures.push("incremental run replayed zero apps — dirty tracking is inert".into());
-    }
-
-    // Speedup over the evolution epochs only: the baseline epoch does
-    // identical work in both modes and would dilute the signal.
-    let cold_evo_ms: u64 = cold.costs().iter().skip(1).map(|c| c.wall_ms).sum();
-    let incr_evo_ms: u64 = incr.costs().iter().skip(1).map(|c| c.wall_ms).sum();
-    let speedup = cold_evo_ms as f64 / incr_evo_ms.max(1) as f64;
+    let replayed_total = incr.engine.total_replayed();
+    let speedup = median(&speedups);
+    let (cold_evo_ms, incr_evo_ms) = (median(&cold_ms), median(&incr_ms));
     if speedup < MIN_SPEEDUP {
         failures.push(format!(
-            "incremental speedup {speedup:.2}x < required {MIN_SPEEDUP}x \
-             (cold {cold_evo_ms} ms vs incremental {incr_evo_ms} ms over evolution epochs)"
+            "median incremental speedup {speedup:.2}x < required {MIN_SPEEDUP}x \
+             over {PAIRS} pairs {speedups:.2?}"
         ));
     }
 
     let per_epoch = incr
+        .engine
         .costs()
         .iter()
-        .zip(cold.costs())
+        .zip(cold.engine.costs())
         .map(|(i, c)| {
             format!(
                 "{{\"epoch\": {}, \"replayed\": {}, \"reanalyzed\": {}, \
@@ -141,6 +204,11 @@ fn main() {
                 i.epoch, i.replayed, i.reanalyzed, c.wall_ms, i.wall_ms
             )
         })
+        .collect::<Vec<_>>()
+        .join(", ");
+    let pair_speedups = speedups
+        .iter()
+        .map(|s| format!("{s:.2}"))
         .collect::<Vec<_>>()
         .join(", ");
 
@@ -154,8 +222,10 @@ fn main() {
             "  \"byte_identical\": {identical},\n",
             "  \"replayed_total\": {replayed},\n",
             "  \"per_epoch\": [{per_epoch}],\n",
-            "  \"cold_evolution_ms\": {cold_ms},\n",
-            "  \"incremental_evolution_ms\": {incr_ms},\n",
+            "  \"pairs\": {pairs},\n",
+            "  \"pair_speedups\": [{pair_speedups}],\n",
+            "  \"cold_evolution_ms\": {cold_ms:.1},\n",
+            "  \"incremental_evolution_ms\": {incr_ms:.1},\n",
             "  \"speedup\": {speedup:.2},\n",
             "  \"min_speedup\": {min_speedup:.1}\n",
             "}}\n"
@@ -163,9 +233,11 @@ fn main() {
         mode = mode,
         seed = SEED,
         epochs = epochs_total,
-        identical = cold_reports == incr_reports,
+        identical = identical,
         replayed = replayed_total,
         per_epoch = per_epoch,
+        pairs = PAIRS,
+        pair_speedups = pair_speedups,
         cold_ms = cold_evo_ms,
         incr_ms = incr_evo_ms,
         speedup = speedup,
@@ -188,6 +260,7 @@ fn main() {
         "\"byte_identical\"",
         "\"replayed_total\"",
         "\"per_epoch\"",
+        "\"pair_speedups\"",
         "\"speedup\"",
     ] {
         if !back.contains(key) {
@@ -195,11 +268,11 @@ fn main() {
         }
     }
 
-    println!("{}", incr.cost_report());
+    println!("{}", incr.engine.cost_report());
     println!(
-        "epoch bench: {} epochs, {} apps replayed, speedup {:.2}x \
-         (cold {} ms vs incremental {} ms)",
-        epochs_total, replayed_total, speedup, cold_evo_ms, incr_evo_ms
+        "epoch bench: {epochs_total} epochs, {replayed_total} apps replayed, median speedup \
+         {speedup:.2}x over {PAIRS} pairs (median cold {cold_evo_ms:.1} ms vs incremental \
+         {incr_evo_ms:.1} ms over evolution epochs)"
     );
 
     if !failures.is_empty() {

@@ -20,6 +20,7 @@ pub mod journal;
 pub mod record;
 pub mod stream;
 pub mod study;
+mod supervise;
 pub mod tables;
 
 pub use accum::StreamAccum;

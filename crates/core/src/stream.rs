@@ -10,23 +10,24 @@
 //! * each worker measures a shard into a mergeable
 //!   [`StreamAccum`] partial, journals the shard's accumulator, and
 //!   **drops the shard** before touching the next one;
-//! * a token gate bounds how many materialized shards exist at once, so
-//!   peak memory is `O(max_inflight_shards × shard_size)` — flat in the
-//!   total app count;
-//! * workers pull from per-worker deques and steal from the most loaded
-//!   peer when their own runs dry (the cargo `JobQueue` shape), so a slow
-//!   shard never idles the rest of the pool.
+//! * the shared supervisor (`core::supervise`) schedules shards over
+//!   per-worker deques with stealing, and its token gate bounds how many
+//!   materialized shards exist at once, so peak memory is
+//!   `O(max_inflight_shards × shard_size)` — flat in the total app count.
 //!
 //! Because [`StreamAccum::merge`] is associative and commutative, the
 //! rendered report is byte-identical at any thread count and any shard
 //! size — that invariant is gated by tests here and by
 //! `benches/stream.rs`. The shard journal gives kill-and-resume at shard
-//! granularity with the same longest-intact-prefix recovery contract as
-//! the per-app journal.
+//! granularity in the same [`Journal`] container as the per-app journal:
+//! opening it scrubs every frame, quarantines damaged ones and resyncs
+//! past them, so a damaged shard is re-measured and the shards after it
+//! are kept.
 
 use crate::accum::StreamAccum;
-use crate::journal::JournalError;
+use crate::journal::{Journal, JournalError, Record};
 use crate::record::AppRecord;
+use crate::supervise::Pool;
 use pinning_analysis::circumvent::circumvent_app;
 use pinning_analysis::dynamics::pipeline::{try_analyze_app, DynamicEnv};
 use pinning_analysis::statics::analyze_package;
@@ -37,14 +38,14 @@ use pinning_pki::encode::{Reader, Writer};
 use pinning_pki::validate::clear_validation_cache;
 use pinning_report::tables::{table_run_health, RunHealthReport};
 use pinning_resilience::media::{Media, MediaError, VecMedia};
-use pinning_resilience::recovery::{append_frame, scrub_frames, ScrubStats};
+use pinning_resilience::recovery::ScrubStats;
 use pinning_store::config::WorldConfig;
 use pinning_store::shard::StreamWorld;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Streaming run parameters.
 ///
@@ -94,109 +95,42 @@ impl StreamConfig {
 
 /// Magic prefix of the shard journal (version 1).
 pub const STREAM_JOURNAL_MAGIC: &[u8; 8] = b"STRMJRN1";
-const HEADER_LEN: usize = 40;
-const FRAME_LEN: usize = pinning_resilience::recovery::FRAME_OVERHEAD;
 
-/// Append-only shard journal over a [`Media`]: one frame per completed
-/// shard, carrying that shard's encoded accumulator. Same physical
-/// layout as the per-app [`crate::ResultJournal`] —
-/// `[len u32 LE][sha256(payload)][payload]` frames after a
-/// magic+fingerprint header — read back through the same shared
-/// scrubbing recovery. The default [`VecMedia`] is byte-identical to the
-/// pre-`Media` journal.
+/// One committed shard journal record: a completed shard's accumulator.
 #[derive(Debug, Clone)]
-pub struct StreamJournal<M: Media = VecMedia> {
-    media: M,
-    frames: usize,
+pub struct ShardEntry {
+    /// Index of the shard in the streamed world.
+    pub shard_index: u64,
+    /// The shard's folded measurements.
+    pub accum: StreamAccum,
 }
 
-impl StreamJournal<VecMedia> {
-    /// Starts an empty in-memory journal bound to a config fingerprint.
-    pub fn create(fingerprint: [u8; 32]) -> StreamJournal {
-        StreamJournal::create_on(VecMedia::new(), fingerprint)
-            .expect("VecMedia never refuses a write")
-    }
+impl Record for ShardEntry {
+    const MAGIC: &'static [u8; 8] = STREAM_JOURNAL_MAGIC;
 
+    fn decode(payload: &[u8]) -> Option<Self> {
+        let mut r = Reader::new(payload);
+        let shard_index = r.u64().ok()?;
+        let accum = StreamAccum::decode(&r.bytes().ok()?).ok()?;
+        r.is_empty().then_some(ShardEntry { shard_index, accum })
+    }
+}
+
+/// The shard journal (`STRMJRN1`): one frame per completed shard,
+/// carrying that shard's encoded accumulator, in the same [`Journal`]
+/// container as the per-app [`crate::ResultJournal`].
+pub type StreamJournal<M = VecMedia> = Journal<ShardEntry, M>;
+
+impl StreamJournal {
     /// Appends one completed shard's accumulator (infallible on perfect
     /// media).
     pub fn append_shard(&mut self, shard_index: u64, accum: &StreamAccum) {
         self.try_append_shard(shard_index, accum)
             .expect("VecMedia never refuses a write")
     }
-
-    /// The on-disk byte image.
-    pub fn as_bytes(&self) -> &[u8] {
-        self.media.bytes()
-    }
-
-    /// Consumes the journal into its byte image.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.media.into_bytes()
-    }
-
-    /// Scrubs a journal image, recovering every intact shard frame.
-    ///
-    /// Torn tails, flipped bits, wild lengths, and duplicated segments
-    /// are quarantined by the shared [`scrub_frames`] reader — which
-    /// resyncs past mid-journal damage, so a broken earlier frame no
-    /// longer forfeits every later shard — with the damage accounted in
-    /// [`StreamReplay::stats`].
-    pub fn open(bytes: &[u8]) -> Result<StreamReplay, JournalError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(JournalError::TooShort);
-        }
-        if &bytes[..8] != STREAM_JOURNAL_MAGIC {
-            return Err(JournalError::BadMagic);
-        }
-        let mut fingerprint = [0u8; 32];
-        fingerprint.copy_from_slice(&bytes[8..HEADER_LEN]);
-
-        let recovered = scrub_frames(bytes, HEADER_LEN);
-        let mut stats = recovered.stats;
-        let mut shards: BTreeMap<u64, StreamAccum> = BTreeMap::new();
-        for payload in recovered.frames {
-            let mut r = Reader::new(payload);
-            let parsed = (|| {
-                let index = r.u64().ok()?;
-                let accum = StreamAccum::decode(&r.bytes().ok()?).ok()?;
-                r.is_empty().then_some((index, accum))
-            })();
-            match parsed {
-                // Shard frames are idempotent: if damage elsewhere caused
-                // a re-commit, the accumulators are identical by
-                // construction, so last-wins insertion is safe.
-                Some((index, accum)) => {
-                    shards.insert(index, accum);
-                }
-                // Checksum-valid but undecodable: version skew.
-                // Quarantine the frame; shards are independent.
-                None => {
-                    stats.quarantined_bytes += (FRAME_LEN + payload.len()) as u64;
-                    stats.quarantined_records += 1;
-                }
-            }
-        }
-        Ok(StreamReplay {
-            fingerprint,
-            shards,
-            stats,
-        })
-    }
 }
 
 impl<M: Media> StreamJournal<M> {
-    /// Starts an empty journal written through `media`: resets the
-    /// medium, writes the header, and flushes it.
-    pub fn create_on(mut media: M, fingerprint: [u8; 32]) -> Result<StreamJournal<M>, MediaError> {
-        media.reset();
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(STREAM_JOURNAL_MAGIC);
-        header.extend_from_slice(&fingerprint);
-        media.append(&header)?;
-        media.flush()?;
-        Ok(StreamJournal { media, frames: 0 })
-    }
-
     /// Appends one completed shard's accumulator through the medium,
     /// with a flush barrier so the commit is durable on return (honest
     /// media).
@@ -208,51 +142,8 @@ impl<M: Media> StreamJournal<M> {
         let mut w = Writer::new();
         w.u64(shard_index);
         w.bytes(&accum.encode());
-        let payload = w.into_bytes();
-        let mut frame = Vec::with_capacity(FRAME_LEN + payload.len());
-        append_frame(&mut frame, &payload);
-        self.media.append(&frame)?;
-        self.media.flush()?;
-        self.frames += 1;
-        Ok(())
+        self.try_append_payload(&w.into_bytes())
     }
-
-    /// Shard frames committed so far.
-    pub fn len(&self) -> usize {
-        self.frames
-    }
-
-    /// True when no shard has been committed.
-    pub fn is_empty(&self) -> bool {
-        self.frames == 0
-    }
-
-    /// Borrow of the backing medium.
-    pub fn media(&self) -> &M {
-        &self.media
-    }
-
-    /// Mutable borrow of the backing medium (e.g. to crash it).
-    pub fn media_mut(&mut self) -> &mut M {
-        &mut self.media
-    }
-
-    /// Consumes the journal, returning the backing medium.
-    pub fn into_media(self) -> M {
-        self.media
-    }
-}
-
-/// Recovered contents of a scrubbed shard journal.
-#[derive(Debug, Clone)]
-pub struct StreamReplay {
-    /// Fingerprint of the config the journal was written under.
-    pub fingerprint: [u8; 32],
-    /// Committed shard accumulators, by shard index.
-    pub shards: BTreeMap<u64, StreamAccum>,
-    /// Quarantine and repair accounting from the scrub pass (all zero =
-    /// the journal read back exactly as written).
-    pub stats: ScrubStats,
 }
 
 /// Volatile run telemetry — everything here may differ between two runs
@@ -342,45 +233,6 @@ pub fn peak_rss_kib() -> Option<u64> {
     None
 }
 
-/// Token gate bounding in-flight materialized shards — the engine's
-/// memory ceiling. `acquire` blocks until a slot frees (or the kill
-/// flag trips); `release` wakes one waiter.
-struct ShardGate {
-    slots: Mutex<usize>,
-    freed: Condvar,
-}
-
-impl ShardGate {
-    fn new(slots: usize) -> ShardGate {
-        ShardGate {
-            slots: Mutex::new(slots.max(1)),
-            freed: Condvar::new(),
-        }
-    }
-
-    /// Blocks for a slot; returns false if the run was killed meanwhile.
-    fn acquire(&self, killed: &AtomicBool) -> bool {
-        let mut slots = self.slots.lock().expect("gate lock");
-        while *slots == 0 {
-            if killed.load(Ordering::Acquire) {
-                return false;
-            }
-            slots = self.freed.wait(slots).expect("gate wait");
-        }
-        *slots -= 1;
-        true
-    }
-
-    fn release(&self) {
-        *self.slots.lock().expect("gate lock") += 1;
-        self.freed.notify_one();
-    }
-
-    fn wake_all(&self) {
-        self.freed.notify_all();
-    }
-}
-
 /// The streaming engine.
 #[derive(Debug, Clone)]
 pub struct StreamEngine {
@@ -418,14 +270,7 @@ impl StreamEngine {
     /// Resumes from a journal image: committed shards are folded from
     /// their journaled accumulators, only missing shards are measured.
     pub fn resume(&self, journal_bytes: &[u8]) -> Result<StreamOutcome, JournalError> {
-        let replay = self.scrubbed_replay(journal_bytes)?;
-        // Rebuild the journal from the recovered shards so the resumed
-        // file is clean even when the original was damaged.
-        let mut journal = StreamJournal::create(replay.fingerprint);
-        for (index, accum) in &replay.shards {
-            journal.append_shard(*index, accum);
-        }
-        self.execute(journal, replay.shards, replay.stats)
+        self.resume_media(VecMedia::from_bytes(journal_bytes.to_vec()))
     }
 
     /// Resumes from what `media` reads back after a crash: scrubs the
@@ -436,20 +281,30 @@ impl StreamEngine {
         mut media: M,
     ) -> Result<StreamOutcome<M>, JournalError> {
         let image = media.read_back();
-        let replay = self.scrubbed_replay(&image)?;
-        let mut journal = StreamJournal::create_on(media, replay.fingerprint)?;
-        for (index, accum) in &replay.shards {
+        let (shards, stats) = self.committed_shards(&image)?;
+        let mut journal = StreamJournal::create_on(media, self.config.fingerprint())?;
+        for (index, accum) in &shards {
             journal.try_append_shard(*index, accum)?;
         }
-        self.execute(journal, replay.shards, replay.stats)
+        self.execute(journal, shards, stats)
     }
 
-    fn scrubbed_replay(&self, journal_bytes: &[u8]) -> Result<StreamReplay, JournalError> {
-        let replay = StreamJournal::open(journal_bytes)?;
-        if replay.fingerprint != self.config.fingerprint() {
-            return Err(JournalError::FingerprintMismatch);
-        }
-        Ok(replay)
+    /// The shards a journal image holds, by index, plus the scrub's
+    /// accounting.
+    fn committed_shards(
+        &self,
+        journal_bytes: &[u8],
+    ) -> Result<(BTreeMap<u64, StreamAccum>, ScrubStats), JournalError> {
+        let replay = StreamJournal::open_expecting(journal_bytes, self.config.fingerprint())?;
+        // Shard frames are idempotent: if damage elsewhere caused a
+        // re-commit, the accumulators are identical by construction, so
+        // last-wins insertion is safe.
+        let shards = replay
+            .entries
+            .into_iter()
+            .map(|e| (e.shard_index, e.accum))
+            .collect();
+        Ok((shards, replay.stats))
     }
 
     fn execute<M: Media + Send>(
@@ -465,156 +320,85 @@ impl StreamEngine {
         let pending: Vec<usize> = (0..n_shards)
             .filter(|k| !done.contains_key(&(*k as u64)))
             .collect();
-        let shards_resumed = done.len();
         let decrypt_key = self.config.world.ios_encryption_seed;
         let seed = self.config.world.seed;
-
-        let threads = self.config.threads.clamp(1, pending.len().max(1));
-        // Round-robin initial distribution over per-worker run queues;
-        // idle workers steal from the back of the most loaded peer.
-        let runs: Vec<Mutex<VecDeque<usize>>> =
-            (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, k) in pending.iter().enumerate() {
-            runs[i % threads].lock().expect("run lock").push_back(*k);
-        }
-
-        let gate = ShardGate::new(self.config.max_inflight_shards);
-        let killed = AtomicBool::new(false);
         let apps_measured = AtomicU64::new(0);
         let panics = AtomicU64::new(0);
-        // (journal, fresh shard commits) — append + kill-check are atomic
-        // under one lock, so a kill after N commits leaves exactly N new
-        // frames, mirroring the per-app journal's contract.
-        let committed: Mutex<(StreamJournal<M>, usize)> = Mutex::new((journal, 0));
-        let kill_after = self.config.kill_after_shards;
-        let partials: Mutex<Vec<StreamAccum>> = Mutex::new(Vec::new());
-        // First media refusal (e.g. ENOSPC) — it kills the run and is
-        // returned as a structured error instead of a silent truncation.
-        let media_failure: Mutex<Option<MediaError>> = Mutex::new(None);
+        // This process's shards, folded as they are measured. A run that
+        // does not complete discards the fold, so folding before the
+        // commit is sound; merge() is associative and commutative, so the
+        // fold order cannot affect the rendered bytes.
+        let fresh = Mutex::new(StreamAccum::default());
 
-        std::thread::scope(|scope| {
-            for me in 0..threads {
-                let runs = &runs;
-                let gate = &gate;
-                let killed = &killed;
-                let committed = &committed;
-                let partials = &partials;
-                let media_failure = &media_failure;
-                let apps_measured = &apps_measured;
-                let panics = &panics;
-                let world = &world;
-                scope.spawn(move || {
-                    let mut partial = StreamAccum::default();
-                    loop {
-                        if killed.load(Ordering::Acquire) {
-                            break;
-                        }
-                        // Own queue first (front), then steal from the
-                        // most loaded peer (back) — the classic deque
-                        // split that keeps stolen work coarse.
-                        let next = runs[me].lock().expect("run lock").pop_front().or_else(|| {
-                            let victim = (0..threads)
-                                .filter(|v| *v != me)
-                                .max_by_key(|v| runs[*v].lock().expect("run lock").len())?;
-                            runs[victim].lock().expect("run lock").pop_back()
-                        });
-                        let Some(k) = next else { break };
-                        if !gate.acquire(killed) {
-                            break;
-                        }
-                        // Materialize, measure, journal, drop. The shard
-                        // and its env die at the end of this block — the
-                        // gate token is the only thing bounding how many
-                        // of these exist at once.
-                        {
-                            let shard = world.generate_shard(k);
-                            let env = DynamicEnv::new(
-                                &shard.network,
-                                universe.aosp_oem.clone(),
-                                universe.ios.clone(),
-                                shard.now,
-                                seed,
-                            );
-                            let identity = env.device(Platform::Android).identity.clone();
-                            let mut acc = StreamAccum {
-                                shards: 1,
-                                ..Default::default()
-                            };
-                            for sa in &shard.apps {
-                                let record = catch_unwind(AssertUnwindSafe(|| {
-                                    measure_one(&env, sa.product_index, &sa.app, decrypt_key)
-                                }))
-                                .unwrap_or_else(|_| {
-                                    panics.fetch_add(1, Ordering::Relaxed);
-                                    AppRecord::failed(
-                                        sa.product_index,
-                                        sa.app.id.clone(),
-                                        Default::default(),
-                                        MeasurementError::WorkerPanic,
-                                    )
-                                });
-                                acc.add_app(
-                                    &sa.datasets,
-                                    sa.app.category.label_on(sa.app.id.platform),
-                                    &record,
-                                    &identity,
-                                );
-                            }
-                            apps_measured.fetch_add(shard.apps.len() as u64, Ordering::Relaxed);
-                            let mut slot = committed.lock().expect("journal lock");
-                            if killed.load(Ordering::Acquire) {
-                                break; // the process "died" mid-measure
-                            }
-                            if let Err(e) = slot.0.try_append_shard(k as u64, &acc) {
-                                media_failure
-                                    .lock()
-                                    .expect("media failure lock")
-                                    .get_or_insert(e);
-                                killed.store(true, Ordering::Release);
-                                gate.wake_all();
-                                break;
-                            }
-                            slot.1 += 1;
-                            if kill_after == Some(slot.1) {
-                                killed.store(true, Ordering::Release);
-                                gate.wake_all();
-                            }
-                            drop(slot);
-                            partial.merge(&acc);
-                        }
-                        // The chain-validation memo is process-global and
-                        // would grow with every unique streamed chain;
-                        // clearing per shard keeps memory flat. Values are
-                        // deterministic, so a clear racing another worker
-                        // costs recomputation, never correctness.
-                        clear_validation_cache();
-                        gate.release();
-                    }
-                    partials.lock().expect("partials lock").push(partial);
+        // Materialize, measure, drop: the shard and its env die when this
+        // returns, so the in-flight bound is what bounds how many of them
+        // exist at once.
+        let measure_shard = |k: usize| -> StreamAccum {
+            let shard = world.generate_shard(k);
+            let env = DynamicEnv::new(
+                &shard.network,
+                universe.aosp_oem.clone(),
+                universe.ios.clone(),
+                shard.now,
+                seed,
+            );
+            let identity = env.device(Platform::Android).identity.clone();
+            let mut acc = StreamAccum {
+                shards: 1,
+                ..Default::default()
+            };
+            for sa in &shard.apps {
+                let record = catch_unwind(AssertUnwindSafe(|| {
+                    measure_one(&env, sa.product_index, &sa.app, decrypt_key)
+                }))
+                .unwrap_or_else(|_| {
+                    panics.fetch_add(1, Ordering::Relaxed);
+                    AppRecord::failed(
+                        sa.product_index,
+                        sa.app.id.clone(),
+                        Default::default(),
+                        MeasurementError::WorkerPanic,
+                    )
                 });
+                acc.add_app(
+                    &sa.datasets,
+                    sa.app.category.label_on(sa.app.id.platform),
+                    &record,
+                    &identity,
+                );
             }
-        });
+            apps_measured.fetch_add(shard.apps.len() as u64, Ordering::Relaxed);
+            // The chain-validation memo is process-global and would grow
+            // with every unique streamed chain; clearing per shard keeps
+            // memory flat. Values are deterministic, so a clear racing
+            // another worker costs recomputation, never correctness.
+            clear_validation_cache();
+            fresh.lock().expect("fold lock").merge(&acc);
+            acc
+        };
 
-        let (journal, fresh) = committed.into_inner().expect("journal lock");
-        if let Some(e) = media_failure.into_inner().expect("media failure lock") {
-            return Err(JournalError::Media(e));
-        }
-        if killed.into_inner() {
+        let pool = Pool {
+            threads: self.config.threads,
+            max_inflight: Some(self.config.max_inflight_shards),
+            kill_after: self.config.kill_after_shards,
+            watchdog: Duration::ZERO,
+        };
+        let run = pool.run(
+            &pending,
+            journal,
+            measure_shard,
+            |journal: &mut StreamJournal<M>, k, acc| journal.try_append_shard(k as u64, &acc),
+        )?;
+        if run.killed {
             return Ok(StreamOutcome::Interrupted {
-                shards_committed: journal.len(),
-                journal,
+                shards_committed: run.journal.len(),
+                journal: run.journal,
             });
         }
 
-        // Fold: journaled (resumed) shard accumulators + this process's
-        // worker partials. merge() is associative + commutative, so the
-        // fold order cannot affect the rendered bytes.
-        let mut accum = StreamAccum::default();
+        let mut accum = fresh.into_inner().expect("fold lock");
         for acc in done.values() {
             accum.merge(acc);
-        }
-        for partial in partials.into_inner().expect("partials lock").iter() {
-            accum.merge(partial);
         }
 
         let elapsed = start.elapsed().as_secs_f64();
@@ -623,8 +407,8 @@ impl StreamEngine {
             accum,
             health: StreamHealth {
                 shards_total: n_shards,
-                shards_resumed,
-                shards_fresh: fresh,
+                shards_resumed: done.len(),
+                shards_fresh: run.fresh,
                 apps_measured: apps,
                 panics_recovered: panics.into_inner(),
                 elapsed_secs: elapsed,
@@ -745,31 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_journal_tail_is_quarantined() {
-        let mut cfg = config(7, 1);
-        cfg.kill_after_shards = Some(2);
-        let StreamOutcome::Interrupted { journal, .. } = StreamEngine::new(cfg).run() else {
-            panic!("kill hook did not fire");
-        };
-        let bytes = journal.into_bytes();
-
-        // Truncate mid-frame: the first shard survives, the tail is
-        // quarantined rather than corrupting the replay.
-        let torn = &bytes[..bytes.len() - 7];
-        let replay = StreamJournal::open(torn).expect("header intact");
-        assert_eq!(replay.shards.len(), 1);
-        assert!(replay.stats.quarantined_bytes > 0);
-
-        // Flip a payload byte: same outcome via the frame digest.
-        let mut flipped = bytes.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0xFF;
-        let replay = StreamJournal::open(&flipped).expect("header intact");
-        assert_eq!(replay.shards.len(), 1);
-        assert!(replay.stats.quarantined_bytes > 0);
-    }
-
-    #[test]
     fn faultless_fault_media_run_matches_vec_media_run() {
         use pinning_resilience::media::{FaultMedia, MediaFaultPlan};
         let clean = completed(StreamEngine::new(config(7, 2)).run());
@@ -792,6 +551,48 @@ mod tests {
             matches!(outcome, Err(JournalError::Media(MediaError::NoSpace))),
             "a full medium must surface as a structured error, got {outcome:?}"
         );
+    }
+
+    #[test]
+    fn killed_runs_end_with_more_workers_than_tokens() {
+        use pinning_resilience::media::{FaultMedia, MediaFaultPlan};
+        use std::sync::mpsc;
+        // Three of four workers wait at the gate at any moment, so a kill
+        // that skips a waiter's wake-up, or an exit that keeps its token,
+        // leaves the run waiting forever.
+        for attempt in 0..20u64 {
+            for by_media in [false, true] {
+                let mut cfg = config(7, 4);
+                cfg.max_inflight_shards = 1;
+                if !by_media {
+                    cfg.kill_after_shards = Some(1 + attempt as usize % 3);
+                }
+                let (tx, rx) = mpsc::channel();
+                let run = std::thread::spawn(move || {
+                    let engine = StreamEngine::new(cfg);
+                    let ended = if by_media {
+                        let media = FaultMedia::new(MediaFaultPlan::tight(attempt, 600));
+                        matches!(
+                            engine.run_on_media(media),
+                            Err(JournalError::Media(MediaError::NoSpace))
+                        )
+                    } else {
+                        matches!(engine.run(), StreamOutcome::Interrupted { .. })
+                    };
+                    let _ = tx.send(ended);
+                });
+                let ended = rx.recv_timeout(std::time::Duration::from_secs(120));
+                if let Err(mpsc::RecvTimeoutError::Timeout) = ended {
+                    panic!("run {attempt} (media kill: {by_media}) hung");
+                }
+                run.join().expect("the run returns");
+                assert_eq!(
+                    ended,
+                    Ok(true),
+                    "run {attempt} (media kill: {by_media}) ended wrongly"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! The study driver: a supervised, journaled, resumable measurement run.
 //!
 //! [`Study::run`] still presents the original all-in-one interface, but
-//! underneath every run is supervised: apps are pulled from a shared work
-//! queue by panic-isolated workers, each completed app is committed to a
-//! write-ahead [`ResultJournal`], and [`StudyResults`] is materialized by
-//! *replaying* that journal against the regenerated world. Because an
-//! uninterrupted run and a [`Study::resume`] from a partial journal
-//! materialize through the same replay path, their results are identical
-//! byte for byte.
+//! underneath every run is supervised: the shared supervisor
+//! (`core::supervise`, also under the streaming engine) hands app
+//! indices to workers that measure each app under panic isolation,
+//! each completed app is committed to a write-ahead [`ResultJournal`],
+//! and [`StudyResults`] is materialized by *replaying* that journal
+//! against the regenerated world. Because an uninterrupted run and a
+//! [`Study::resume`] from a partial journal materialize through the same
+//! replay path, their results are identical byte for byte. At one thread
+//! apps are measured in ascending index order.
 
 use crate::journal::{AppOutcome, JournalEntry, JournalError, ResultJournal};
 use crate::record::AppRecord;
+use crate::supervise::Pool;
 use pinning_analysis::circumvent::circumvent_app;
 use pinning_analysis::dynamics::pipeline::{try_analyze_app, DynamicEnv, RetryPolicy};
 use pinning_analysis::statics::{analyze_package, StaticFindings};
@@ -24,11 +27,9 @@ use pinning_store::datasets::{
     build_datasets, collision_report, CollisionReport, Dataset, DatasetKind,
 };
 use pinning_store::world::World;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Supervision knobs: watchdog telemetry plus the crash/kill test hooks.
 #[derive(Debug, Clone, Default)]
@@ -253,30 +254,15 @@ impl Study {
     }
 
     /// Resumes a study from a journal image (e.g. read back from disk
-    /// after a crash): recovers the intact prefix, re-measures only the
+    /// after a crash): recovers every intact record, re-measures only the
     /// missing apps, and materializes results identical to an
     /// uninterrupted run of the same configuration.
     ///
-    /// Damaged trailing records are quarantined (their apps are simply
+    /// Damaged records are quarantined (their apps are simply
     /// re-measured) and counted in [`RunHealth`]; a damaged *header* or a
     /// fingerprint from a different configuration is an error.
     pub fn resume(self, journal_bytes: &[u8]) -> Result<StudyOutcome, JournalError> {
-        let replay = ResultJournal::open(journal_bytes)?;
-        if replay.fingerprint != self.config.fingerprint() {
-            return Err(JournalError::FingerprintMismatch);
-        }
-        let mut health = RunHealth::default();
-        if replay.truncated() {
-            health.journal_truncations = 1;
-            health.absorb_scrub(replay.stats);
-        }
-        // Rebuild a clean journal from the recovered records: encoding is
-        // deterministic, so this both self-heals the damage and keeps
-        // append working.
-        let mut journal = self.config.journal();
-        for entry in &replay.entries {
-            journal.append(entry);
-        }
+        let (journal, health) = reopen(journal_bytes, self.config.fingerprint())?;
         self.execute(journal, health)
     }
 
@@ -311,26 +297,14 @@ impl Study {
     }
 
     /// [`Study::resume`] for a pre-built world: recovers the journal's
-    /// intact prefix and re-measures only the missing apps.
+    /// intact records and re-measures only the missing apps.
     pub fn resume_on_world(
         self,
         world: World,
         journal_bytes: &[u8],
         fingerprint: [u8; 32],
     ) -> Result<StudyOutcome, JournalError> {
-        let replay = ResultJournal::open(journal_bytes)?;
-        if replay.fingerprint != fingerprint {
-            return Err(JournalError::FingerprintMismatch);
-        }
-        let mut health = RunHealth::default();
-        if replay.truncated() {
-            health.journal_truncations = 1;
-            health.absorb_scrub(replay.stats);
-        }
-        let mut journal = ResultJournal::create(fingerprint);
-        for entry in &replay.entries {
-            journal.append(entry);
-        }
+        let (journal, health) = reopen(journal_bytes, fingerprint)?;
         self.execute_on(world, journal, health, fingerprint, BTreeMap::new())
     }
 
@@ -353,10 +327,7 @@ impl Study {
         mut statics: BTreeMap<usize, StaticFindings>,
     ) -> Result<StudyOutcome, JournalError> {
         health.cache_base = cache_snapshot();
-        let handed = ResultJournal::open(journal.as_bytes())?;
-        if handed.fingerprint != fingerprint {
-            return Err(JournalError::FingerprintMismatch);
-        }
+        let handed = ResultJournal::open_expecting(journal.as_bytes(), fingerprint)?;
         let handed_len = journal.as_bytes().len();
         let done: BTreeSet<usize> = handed
             .entries
@@ -427,59 +398,29 @@ impl Study {
             }
         };
 
-        // The supervisor: a shared work queue drained by panic-isolated
-        // workers, committing one journal record per completed app under a
-        // single lock (append + kill-check are atomic, so a kill after N
-        // commits leaves exactly N records).
-        let killed = AtomicBool::new(false);
-        let watchdog_breaches = AtomicU32::new(0);
-        let queue: Mutex<VecDeque<usize>> = Mutex::new(pending.iter().copied().collect());
-        // (journal, fresh commits this process)
-        let committed: Mutex<(ResultJournal, usize)> = Mutex::new((journal, 0));
-        let kill_after = self.config.supervisor.kill_after_apps;
-        let watchdog = Duration::from_secs(self.config.supervisor.watchdog_secs);
-        let threads = self.config.threads.max(1).min(pending.len().max(1));
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    if killed.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let Some(app_index) = queue.lock().expect("queue lock").pop_front() else {
-                        return;
-                    };
-                    let started = Instant::now();
-                    // Panic isolation: a crashing pipeline degrades this
-                    // one app instead of poisoning the whole run.
-                    let outcome = match catch_unwind(AssertUnwindSafe(|| measure(app_index))) {
-                        Ok(outcome) => outcome,
-                        Err(_) => AppOutcome::Failed(MeasurementError::WorkerPanic),
-                    };
-                    if !watchdog.is_zero() && started.elapsed() > watchdog {
-                        watchdog_breaches.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let mut slot = committed.lock().expect("journal lock");
-                    if killed.load(Ordering::Acquire) {
-                        return; // the process "died" while we measured
-                    }
-                    slot.0.append(&JournalEntry {
-                        app_index: app_index as u64,
-                        outcome,
-                    });
-                    slot.1 += 1;
-                    if kill_after == Some(slot.1) {
-                        killed.store(true, Ordering::Release);
-                        return;
-                    }
-                });
-            }
-        });
-
-        health.watchdog_breaches = watchdog_breaches.into_inner();
-        let (journal, fresh) = committed.into_inner().expect("journal lock");
-        health.fresh_apps = fresh;
-        if killed.into_inner() {
+        // Panic isolation: a crashing pipeline degrades this one app
+        // instead of poisoning the whole run.
+        let measure_isolated = |app_index: usize| JournalEntry {
+            app_index: app_index as u64,
+            outcome: catch_unwind(AssertUnwindSafe(|| measure(app_index)))
+                .unwrap_or(AppOutcome::Failed(MeasurementError::WorkerPanic)),
+        };
+        let pool = Pool {
+            threads: self.config.threads,
+            max_inflight: None,
+            kill_after: self.config.supervisor.kill_after_apps,
+            watchdog: Duration::from_secs(self.config.supervisor.watchdog_secs),
+        };
+        let run = pool.run(
+            &pending,
+            journal,
+            measure_isolated,
+            |journal: &mut ResultJournal, _, entry| journal.try_append(&entry),
+        )?;
+        health.watchdog_breaches = run.watchdog_breaches;
+        health.fresh_apps = run.fresh;
+        let journal = run.journal;
+        if run.killed {
             return Ok(StudyOutcome::Interrupted {
                 apps_committed: journal.len(),
                 journal,
@@ -528,6 +469,27 @@ impl Study {
             health,
         })))
     }
+}
+
+/// A clean journal rebuilt from the intact records of a journal image,
+/// plus the run health that accounts for whatever damage was dropped.
+/// Encoding is deterministic, so the rebuild both self-heals the damage
+/// and keeps append working.
+fn reopen(
+    journal_bytes: &[u8],
+    fingerprint: [u8; 32],
+) -> Result<(ResultJournal, RunHealth), JournalError> {
+    let replay = ResultJournal::open_expecting(journal_bytes, fingerprint)?;
+    let mut health = RunHealth::default();
+    if replay.truncated() {
+        health.journal_truncations = 1;
+        health.absorb_scrub(replay.stats);
+    }
+    let mut journal = ResultJournal::create(fingerprint);
+    for entry in &replay.entries {
+        journal.append(entry);
+    }
+    Ok((journal, health))
 }
 
 /// All study outputs.
@@ -805,6 +767,48 @@ mod tests {
             resumed.health.resumed_apps + resumed.health.fresh_apps,
             resumed.records.len()
         );
+    }
+
+    #[test]
+    fn one_thread_commits_apps_in_ascending_index_order() {
+        let mut cfg = StudyConfig::tiny(0x4E);
+        cfg.threads = 1;
+        cfg.supervisor.kill_after_apps = Some(12);
+        let StudyOutcome::Interrupted { journal, .. } = Study::new(cfg.clone())
+            .run_with_journal(cfg.journal())
+            .unwrap()
+        else {
+            panic!("expected interruption")
+        };
+        let order: Vec<u64> = ResultJournal::open(journal.as_bytes())
+            .unwrap()
+            .entries
+            .iter()
+            .map(|e| e.app_index)
+            .collect();
+        assert_eq!(order.len(), 12);
+        assert!(
+            order.windows(2).all(|w| w[0] < w[1]),
+            "one worker must measure apps in ascending index order: {order:?}"
+        );
+    }
+
+    #[test]
+    fn pooled_kill_resumed_on_one_thread_renders_identically() {
+        let mut cfg = StudyConfig::tiny(0x4F);
+        cfg.threads = 4;
+        cfg.supervisor.kill_after_apps = Some(10);
+        let StudyOutcome::Interrupted { journal, .. } = Study::new(cfg.clone())
+            .run_with_journal(cfg.journal())
+            .unwrap()
+        else {
+            panic!("expected interruption")
+        };
+        cfg.threads = 1;
+        cfg.supervisor.kill_after_apps = None;
+        let resumed = completed(Study::new(cfg.clone()).resume(journal.as_bytes()).unwrap());
+        assert_eq!(resumed.health.resumed_apps, 10);
+        assert_eq!(resumed.render_all(), Study::new(cfg).run().render_all());
     }
 
     #[test]

@@ -29,6 +29,7 @@ use pinning_resilience::recovery::{CheckpointStore, ScrubStats};
 use pinning_store::datasets::build_datasets;
 use pinning_store::world::World;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// How one epoch run ended.
@@ -59,14 +60,21 @@ pub struct Evolution {
     done: usize,
     /// Per-app fingerprints at the last completed epoch.
     fingerprints: Vec<[u8; 32]>,
-    /// Records of the last completed epoch.
+    /// Records of the last completed epoch (they stay in `unrendered`
+    /// until that epoch is settled).
     records: BTreeMap<usize, AppRecord>,
     /// Incremental mode only: each record's journal frame, refreshed when
     /// the app is re-measured, so replaying a clean app copies its frame
     /// instead of encoding and checksumming it again.
     frames: BTreeMap<usize, EncodedEntry>,
-    /// `render_all()` of the last completed epoch.
-    last_render: String,
+    /// The last completed epoch's study results, kept until its report
+    /// is rendered. [`Evolution::full_report`] renders it on first use;
+    /// the next epoch and [`Evolution::state_bytes`] render it first if
+    /// nobody asked. Either way each epoch's report is rendered once,
+    /// before the next epoch measures anything.
+    unrendered: Option<StudyResults>,
+    /// `render_all()` of the last completed epoch, once rendered.
+    last_render: OnceLock<String>,
     adoption: Vec<AdoptionPoint>,
     distrust: Vec<DistrustRow>,
     rotation: Vec<RotationRow>,
@@ -94,7 +102,8 @@ impl Evolution {
             fingerprints: Vec::new(),
             records: BTreeMap::new(),
             frames: BTreeMap::new(),
-            last_render: String::new(),
+            unrendered: None,
+            last_render: OnceLock::new(),
             adoption: Vec::new(),
             distrust: Vec::new(),
             rotation: Vec::new(),
@@ -181,7 +190,9 @@ impl Evolution {
         }
     }
 
-    /// Runs epoch `completed()` to completion.
+    /// Runs epoch `completed()` to completion. The epoch's study report
+    /// is rendered by the first [`Evolution::full_report`] after it, or
+    /// before the next epoch starts if nobody asked.
     pub fn next_epoch(&mut self) -> Result<(), JournalError> {
         match self.run_epoch(None, None)? {
             EpochOutcome::Completed => Ok(()),
@@ -216,6 +227,7 @@ impl Evolution {
         assert!(k < self.epochs_total(), "all epochs already completed");
         let started = Instant::now();
 
+        self.settle();
         let touched = self.evolve_to(k);
         let world = self.world.take().expect("evolve_to populates the world");
         let fingerprint = self.epoch_fp(k);
@@ -323,14 +335,32 @@ impl Evolution {
             reanalyzed: dirty.len(),
             wall_ms: started.elapsed().as_millis() as u64,
         });
-        self.last_render = results.render_all();
-        let StudyResults { world, records, .. } = results;
-        self.world = Some(world);
         self.evolved_for = Some(k);
-        self.records = records;
         self.fingerprints = new_fps;
+        self.last_render = OnceLock::new();
+        self.unrendered = Some(results);
         self.done = k + 1;
         Ok(EpochOutcome::Completed)
+    }
+
+    /// Renders the last epoch's report if nobody has yet, then takes
+    /// back that epoch's world and records for the next epoch.
+    fn settle(&mut self) {
+        if let Some(results) = self.unrendered.take() {
+            self.last_render.get_or_init(|| results.render_all());
+            let StudyResults { world, records, .. } = results;
+            self.world = Some(world);
+            self.records = records;
+        }
+    }
+
+    /// `render_all()` of the last completed epoch, rendered on first use
+    /// (empty before the first epoch).
+    fn last_render(&self) -> &str {
+        match &self.unrendered {
+            Some(results) => self.last_render.get_or_init(|| results.render_all()),
+            None => self.last_render.get().map_or("", String::as_str),
+        }
     }
 
     /// Derives the delta-report rows for a completed epoch `k`.
@@ -451,7 +481,7 @@ impl Evolution {
     /// The byte-compared artifact: the last epoch's full study report
     /// plus the accumulated delta report.
     pub fn full_report(&self) -> String {
-        let mut out = self.last_render.clone();
+        let mut out = self.last_render().to_owned();
         out.push('\n');
         out.push_str(&self.delta_report());
         out
@@ -479,7 +509,11 @@ impl Evolution {
     pub fn state_bytes(&self) -> Vec<u8> {
         assert!(self.done > 0, "no completed epoch to persist");
         let mut journal = ResultJournal::create(self.epoch_fp(self.done - 1));
-        for (&i, rec) in &self.records {
+        let records = self
+            .unrendered
+            .as_ref()
+            .map_or(&self.records, |r| &r.records);
+        for (&i, rec) in records {
             journal.append_encoded(&encode_record(i, rec));
         }
         EpochState {
@@ -488,7 +522,7 @@ impl Evolution {
             incremental: self.incremental,
             fingerprints: self.fingerprints.clone(),
             journal: journal.into_bytes(),
-            last_render: self.last_render.clone(),
+            last_render: self.last_render().to_owned(),
             adoption: self.adoption.clone(),
             distrust: self.distrust.clone(),
             rotation: self.rotation.clone(),
@@ -564,7 +598,7 @@ impl Evolution {
         let mut engine = Evolution::new(config, state.incremental);
         engine.done = state.done as usize;
         engine.fingerprints = state.fingerprints;
-        engine.last_render = state.last_render;
+        engine.last_render = OnceLock::from(state.last_render);
         engine.adoption = state.adoption;
         engine.distrust = state.distrust;
         engine.rotation = state.rotation;
@@ -666,6 +700,7 @@ mod tests {
         let key = config.world.ios_encryption_seed;
         let mut ev = Evolution::new(config, true);
         ev.next_epoch().unwrap();
+        ev.settle();
         for k in 1..ev.epochs_total() {
             // No plan event changes package bytes, so update two packages
             // by hand: an Android app gains a pin string, and an iOS app
@@ -701,6 +736,7 @@ mod tests {
             package.invalidate_content_hash();
 
             ev.next_epoch().unwrap();
+            ev.settle();
             assert!(ev.costs[k].replayed > 0, "epoch {k} carries clean apps");
             let world = ev
                 .world
