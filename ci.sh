@@ -45,6 +45,9 @@ cargo bench -q -p pinning-bench --bench fuzz --offline -- smoke
 
 echo "==> serve smoke (seeded overload: bounded queue, nonzero shed, same-seed determinism, offline-identical verdicts)"
 cargo bench -q -p pinning-bench --bench serve --offline -- smoke
+for key in '"schema": "pinning-bench/serve"' '"same_seed_runs_identical": true' '"offline_identical_verdicts"'; do
+  grep -qF "$key" BENCH_serve.json || { echo "BENCH_serve.json missing $key"; exit 1; }
+done
 
 echo "==> epoch smoke (seeded 3-epoch evolution: incremental/cold byte-identity, nonzero replayed apps, median-of-pairs speedup gate)"
 cargo bench -q -p pinning-bench --bench epoch --offline -- smoke

@@ -17,12 +17,13 @@
 //! or auditor gets over the wire. The verification algorithms follow
 //! RFC 9162 §2.1.3.2 / §2.1.4.2.
 
-use pinning_crypto::sha256;
+use pinning_crypto::{sha256, Sha256};
 use pinning_pki::cache::CacheCounter;
 
 /// Telemetry for batched proof generation: a **miss** is one authenticator
-/// pass (hashing every interior node of a tree state once), a **hit** is an
-/// inclusion proof served from those precomputed nodes without hashing.
+/// built (a copy of the tree's stored subtree hashes for one tree state,
+/// plus at most one node hash per level for its right edge), a **hit** is
+/// an inclusion proof served from an authenticator without hashing.
 pub static PROOF_BATCH: CacheCounter = CacheCounter::new("merkle-proof-batch");
 
 /// Domain-separation prefix for leaf hashes.
@@ -32,19 +33,21 @@ pub const NODE_PREFIX: u8 = 0x01;
 
 /// `sha256(0x00 || data)` — the Merkle leaf hash of an entry.
 pub fn leaf_hash(data: &[u8]) -> [u8; 32] {
-    let mut buf = Vec::with_capacity(1 + data.len());
-    buf.push(LEAF_PREFIX);
-    buf.extend_from_slice(data);
-    sha256(&buf)
+    let mut h = Sha256::new();
+    h.update(&[LEAF_PREFIX]);
+    h.update(data);
+    h.finalize()
 }
 
 /// `sha256(0x01 || left || right)` — the Merkle interior-node hash.
 pub fn node_hash(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
-    let mut buf = Vec::with_capacity(65);
-    buf.push(NODE_PREFIX);
-    buf.extend_from_slice(left);
-    buf.extend_from_slice(right);
-    sha256(&buf)
+    #[cfg(test)]
+    tests::NODE_HASHES.with(|n| n.set(n.get() + 1));
+    let mut h = Sha256::new();
+    h.update(&[NODE_PREFIX]);
+    h.update(left);
+    h.update(right);
+    h.finalize()
 }
 
 /// The hash of the empty tree (`sha256("")`, per RFC 6962).
@@ -63,14 +66,28 @@ fn split_point(n: usize) -> usize {
 
 /// An append-only Merkle tree over opaque leaf data.
 ///
-/// Stores the leaf hashes; roots and proofs for *any historical size* are
-/// recomputed on demand, which keeps the structure simple and obviously
-/// correct (proof generation is O(n) here — fine for a simulation whose
-/// logs hold thousands of entries, and irrelevant to the verifiers, which
-/// stay logarithmic).
+/// Stores, as they complete, the hash of every perfect subtree (RFC 9162
+/// §2.1 "completed subtrees"): an append hashes one interior node on
+/// average. Every subtree the RFC recursion visits for a historical size
+/// `m` is either a stored perfect subtree or a run of them along the
+/// tree's right edge, so roots and proofs for *any* historical size cost
+/// lookups plus O(log n) node hashes:
+///
+/// | operation | node hashes |
+/// |---|---|
+/// | [`push`](Self::push) | 1 on average, at most ⌈log2 n⌉ |
+/// | [`root_at`](Self::root_at), [`root`](Self::root) | popcount(m) − 1 |
+/// | [`inclusion_proof`](Self::inclusion_proof) | < ⌈log2 m⌉ |
+/// | [`consistency_proof`](Self::consistency_proof) | < 2⌈log2 m⌉ |
+/// | [`authenticator`](Self::authenticator) | < ⌈log2 m⌉, plus an O(m) copy |
+///
+/// Every root and proof is byte-identical to the RFC 6962 recursion over
+/// the leaf hashes.
 #[derive(Debug, Clone, Default)]
 pub struct MerkleTree {
-    leaves: Vec<[u8; 32]>,
+    /// `levels[0]` = leaf hashes; `levels[k][i]` = root of the perfect
+    /// subtree over leaves `[i·2^k, (i+1)·2^k)`, pushed once complete.
+    levels: Vec<Vec<[u8; 32]>>,
 }
 
 impl MerkleTree {
@@ -79,25 +96,40 @@ impl MerkleTree {
         Self::default()
     }
 
-    /// Appends a leaf; returns its index.
+    /// Appends a leaf; returns its index. Every perfect subtree the leaf
+    /// completes is hashed and stored on the way up.
     pub fn push(&mut self, leaf_data: &[u8]) -> u64 {
-        self.leaves.push(leaf_hash(leaf_data));
-        (self.leaves.len() - 1) as u64
+        let index = self.len();
+        let mut node = leaf_hash(leaf_data);
+        let mut level = 0;
+        loop {
+            if level == self.levels.len() {
+                self.levels.push(Vec::new());
+            }
+            let row = &mut self.levels[level];
+            row.push(node);
+            if row.len() % 2 == 1 {
+                break;
+            }
+            node = node_hash(&row[row.len() - 2], &row[row.len() - 1]);
+            level += 1;
+        }
+        index
     }
 
     /// Number of leaves.
     pub fn len(&self) -> u64 {
-        self.leaves.len() as u64
+        self.levels.first().map_or(0, Vec::len) as u64
     }
 
     /// Whether the tree has no leaves.
     pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
+        self.len() == 0
     }
 
     /// The leaf hash at `index`.
     pub fn leaf(&self, index: u64) -> Option<[u8; 32]> {
-        self.leaves.get(index as usize).copied()
+        self.levels.first()?.get(index as usize).copied()
     }
 
     /// Root over the current tree.
@@ -110,7 +142,7 @@ impl MerkleTree {
         if size > self.len() {
             return None;
         }
-        Some(subtree_hash(&self.leaves[..size as usize]))
+        Some(self.range_hash(0, size as usize))
     }
 
     /// Inclusion proof for leaf `index` in the tree of the first `size`
@@ -119,7 +151,22 @@ impl MerkleTree {
         if index >= size || size > self.len() {
             return None;
         }
-        Some(path(index as usize, &self.leaves[..size as usize]))
+        let m = index as usize;
+        let (mut lo, mut hi) = (0, size as usize);
+        let mut proof = Vec::new();
+        // Top-down walk: the sibling of each subtree holding `m`.
+        while hi - lo > 1 {
+            let mid = lo + split_point(hi - lo);
+            if m < mid {
+                proof.push(self.range_hash(mid, hi));
+                hi = mid;
+            } else {
+                proof.push(self.range_hash(lo, mid));
+                lo = mid;
+            }
+        }
+        proof.reverse();
+        Some(proof)
     }
 
     /// Consistency proof from the tree of size `old` to the tree of size
@@ -132,32 +179,98 @@ impl MerkleTree {
             // Consistency with the empty tree (or with itself) is vacuous.
             return Some(Vec::new());
         }
-        Some(subproof(old as usize, &self.leaves[..new as usize], true))
+        let old = old as usize;
+        let (mut lo, mut hi) = (0, new as usize);
+        // Whether `[lo, hi)` is still a left-aligned prefix of the old tree
+        // (RFC 6962 `SUBPROOF`'s flag `b`).
+        let mut whole_subtree = true;
+        let mut proof = Vec::new();
+        // Top-down walk to the subtree that ends exactly at `old`.
+        while old != hi {
+            let mid = lo + split_point(hi - lo);
+            if old <= mid {
+                proof.push(self.range_hash(mid, hi));
+                hi = mid;
+            } else {
+                proof.push(self.range_hash(lo, mid));
+                lo = mid;
+                whole_subtree = false;
+            }
+        }
+        if !whole_subtree {
+            proof.push(self.range_hash(lo, hi));
+        }
+        proof.reverse();
+        Some(proof)
     }
 
     /// Builds a [`TreeAuthenticator`] over the historical tree of the first
-    /// `size` leaves: one O(n) hashing pass, then O(log n) *hash-free*
-    /// inclusion proofs for every index. Use it whenever more than one
-    /// proof is needed for the same tree state (monitors batch-verifying a
-    /// new STH, resolvers proving a pin's log entries).
+    /// `size` leaves: a copy of the stored perfect subtrees plus one tail
+    /// node per level, then hash-free inclusion proofs for every index.
+    /// Use it whenever more than one proof is needed for the same tree
+    /// state (monitors batch-verifying a new STH, resolvers proving a pin's
+    /// log entries).
     pub fn authenticator(&self, size: u64) -> Option<TreeAuthenticator> {
         if size > self.len() {
             return None;
         }
-        Some(TreeAuthenticator::new(&self.leaves[..size as usize]))
+        PROOF_BATCH.miss();
+        let size = size as usize;
+        let mut levels = Vec::new();
+        // Root of the unpaired right-edge subtree at the current level:
+        // leaves `[(size >> k) << k, size)`, absent when that is empty.
+        let mut tail: Option<[u8; 32]> = None;
+        for k in 0.. {
+            let full = size >> k;
+            let stored = self.levels.get(k).map_or(&[][..], |row| &row[..full]);
+            let mut row = Vec::with_capacity(full + 1);
+            row.extend_from_slice(stored);
+            row.extend(tail);
+            if full % 2 == 1 {
+                // The last stored node has no stored partner: one level up
+                // it pairs with the tail, or is promoted alone.
+                let last = stored[full - 1];
+                tail = Some(tail.map_or(last, |t| node_hash(&last, &t)));
+            }
+            let top = row.len() <= 1;
+            levels.push(row);
+            if top {
+                break;
+            }
+        }
+        Some(TreeAuthenticator { levels })
+    }
+
+    /// RFC 6962 `MTH` over leaves `[lo, hi)` for a range the RFC recursion
+    /// visits (`lo` is a multiple of the largest power of two in
+    /// `hi - lo`): the stored perfect subtrees that tile the range, largest
+    /// first, folded from the right — `popcount(hi - lo) - 1` node hashes.
+    fn range_hash(&self, lo: usize, hi: usize) -> [u8; 32] {
+        let size = hi - lo;
+        let mut acc: Option<[u8; 32]> = None;
+        let mut higher = size;
+        while higher != 0 {
+            let k = higher.trailing_zeros() as usize;
+            higher &= higher - 1;
+            // The 2^k-leaf piece starts after every larger piece.
+            debug_assert_eq!((lo + higher) % (1 << k), 0, "unaligned range");
+            let piece = self.levels[k][(lo + higher) >> k];
+            acc = Some(acc.map_or(piece, |right| node_hash(&piece, &right)));
+        }
+        acc.unwrap_or_else(empty_root)
     }
 }
 
-/// Precomputed interior-node hashes for one fixed tree state.
+/// Interior-node hashes for one fixed tree state.
 ///
-/// [`MerkleTree::inclusion_proof`] rehashes O(n) subtree nodes per proof;
-/// auditing a batch of `k` new entries that way costs O(k·n). An
-/// authenticator hashes every interior node exactly once and then assembles
-/// each audit path by lookup. The node layout pairs adjacent nodes per
+/// An authenticator lays the tree state out level by level and assembles
+/// each audit path by lookup, so a batch of `k` proofs for one state costs
+/// no hashing after it is built. The node layout pairs adjacent nodes per
 /// level and promotes an unpaired tail node unchanged, which reproduces the
 /// RFC 6962 largest-power-of-two split exactly (the promoted node *is* the
-/// right subtree's root at that level), so proofs are byte-identical to the
-/// recursive generator's.
+/// right subtree's root at that level), so proofs are byte-identical to
+/// [`MerkleTree::inclusion_proof`]. [`MerkleTree::authenticator`] builds
+/// one from the tree's stored subtree hashes without rehashing them.
 #[derive(Debug, Clone)]
 pub struct TreeAuthenticator {
     /// `levels[0]` = leaf hashes; `levels[k+1][i]` = hash of the subtree
@@ -166,25 +279,6 @@ pub struct TreeAuthenticator {
 }
 
 impl TreeAuthenticator {
-    /// One pass over `leaves`: hashes all `n - 1` interior nodes.
-    pub fn new(leaves: &[[u8; 32]]) -> Self {
-        PROOF_BATCH.miss();
-        let mut levels = vec![leaves.to_vec()];
-        while levels.last().expect("non-empty").len() > 1 {
-            let below = levels.last().expect("non-empty");
-            let mut above = Vec::with_capacity(below.len().div_ceil(2));
-            let mut pairs = below.chunks_exact(2);
-            for pair in &mut pairs {
-                above.push(node_hash(&pair[0], &pair[1]));
-            }
-            if let [odd] = pairs.remainder() {
-                above.push(*odd);
-            }
-            levels.push(above);
-        }
-        TreeAuthenticator { levels }
-    }
-
     /// Number of leaves in the covered tree state.
     pub fn size(&self) -> u64 {
         self.levels[0].len() as u64
@@ -200,7 +294,7 @@ impl TreeAuthenticator {
 
     /// Inclusion proof for leaf `index` — identical bytes to
     /// [`MerkleTree::inclusion_proof`] at this tree size, but assembled
-    /// from precomputed nodes without any hashing.
+    /// from the laid-out nodes without any hashing.
     pub fn inclusion_proof(&self, index: u64) -> Option<Vec<[u8; 32]>> {
         let mut idx = index as usize;
         if idx >= self.levels[0].len() {
@@ -218,55 +312,6 @@ impl TreeAuthenticator {
         }
         Some(proof)
     }
-}
-
-fn subtree_hash(leaves: &[[u8; 32]]) -> [u8; 32] {
-    match leaves.len() {
-        0 => empty_root(),
-        1 => leaves[0],
-        n => {
-            let k = split_point(n);
-            node_hash(&subtree_hash(&leaves[..k]), &subtree_hash(&leaves[k..]))
-        }
-    }
-}
-
-fn path(m: usize, leaves: &[[u8; 32]]) -> Vec<[u8; 32]> {
-    let n = leaves.len();
-    if n <= 1 {
-        return Vec::new();
-    }
-    let k = split_point(n);
-    let mut proof;
-    if m < k {
-        proof = path(m, &leaves[..k]);
-        proof.push(subtree_hash(&leaves[k..]));
-    } else {
-        proof = path(m - k, &leaves[k..]);
-        proof.push(subtree_hash(&leaves[..k]));
-    }
-    proof
-}
-
-fn subproof(m: usize, leaves: &[[u8; 32]], whole_subtree: bool) -> Vec<[u8; 32]> {
-    let n = leaves.len();
-    if m == n {
-        return if whole_subtree {
-            Vec::new()
-        } else {
-            vec![subtree_hash(leaves)]
-        };
-    }
-    let k = split_point(n);
-    let mut proof;
-    if m <= k {
-        proof = subproof(m, &leaves[..k], whole_subtree);
-        proof.push(subtree_hash(&leaves[k..]));
-    } else {
-        proof = subproof(m - k, &leaves[k..], false);
-        proof.push(subtree_hash(&leaves[..k]));
-    }
-    proof
 }
 
 /// Verifies an inclusion proof: does `leaf` sit at `index` under `root`,
@@ -371,6 +416,76 @@ pub fn verify_consistency(
 mod tests {
     use super::*;
     use pinning_crypto::SplitMix64;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Node hashes computed on this thread, counted by [`node_hash`]
+        /// in test builds only.
+        pub(super) static NODE_HASHES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Node hashes `f` computes on this thread.
+    fn node_hashes_in(f: impl FnOnce()) -> u64 {
+        let before = NODE_HASHES.with(Cell::get);
+        f();
+        NODE_HASHES.with(Cell::get) - before
+    }
+
+    // The RFC 6962 recursions over bare leaf hashes, rehashing every
+    // subtree they visit: the reference the stored-subtree tree must
+    // match byte for byte.
+
+    /// RFC 6962 `MTH(D[n])`.
+    fn subtree_hash(leaves: &[[u8; 32]]) -> [u8; 32] {
+        match leaves.len() {
+            0 => empty_root(),
+            1 => leaves[0],
+            n => {
+                let k = split_point(n);
+                node_hash(&subtree_hash(&leaves[..k]), &subtree_hash(&leaves[k..]))
+            }
+        }
+    }
+
+    /// RFC 6962 `PATH(m, D[n])`.
+    fn path(m: usize, leaves: &[[u8; 32]]) -> Vec<[u8; 32]> {
+        let n = leaves.len();
+        if n <= 1 {
+            return Vec::new();
+        }
+        let k = split_point(n);
+        let mut proof;
+        if m < k {
+            proof = path(m, &leaves[..k]);
+            proof.push(subtree_hash(&leaves[k..]));
+        } else {
+            proof = path(m - k, &leaves[k..]);
+            proof.push(subtree_hash(&leaves[..k]));
+        }
+        proof
+    }
+
+    /// RFC 6962 `SUBPROOF(m, D[n], b)`.
+    fn subproof(m: usize, leaves: &[[u8; 32]], whole_subtree: bool) -> Vec<[u8; 32]> {
+        let n = leaves.len();
+        if m == n {
+            return if whole_subtree {
+                Vec::new()
+            } else {
+                vec![subtree_hash(leaves)]
+            };
+        }
+        let k = split_point(n);
+        let mut proof;
+        if m <= k {
+            proof = subproof(m, &leaves[..k], whole_subtree);
+            proof.push(subtree_hash(&leaves[k..]));
+        } else {
+            proof = subproof(m - k, &leaves[k..], false);
+            proof.push(subtree_hash(&leaves[..k]));
+        }
+        proof
+    }
 
     fn tree_of(n: u64) -> MerkleTree {
         let mut t = MerkleTree::new();
@@ -521,22 +636,109 @@ mod tests {
     }
 
     #[test]
-    fn authenticator_proofs_match_recursive_generator() {
-        let t = tree_of(33);
-        for size in 0..=t.len() {
-            let auth = t.authenticator(size).unwrap();
-            assert_eq!(auth.size(), size);
-            assert_eq!(auth.root(), t.root_at(size).unwrap());
-            for index in 0..size {
-                assert_eq!(
-                    auth.inclusion_proof(index).unwrap(),
-                    t.inclusion_proof(index, size).unwrap(),
-                    "proof mismatch at index {index} size {size}"
+    fn stored_subtrees_match_the_recursive_reference_at_every_size() {
+        const N: usize = 70;
+        let leaves: Vec<[u8; 32]> = (0..N)
+            .map(|i| leaf_hash(format!("entry-{i}").as_bytes()))
+            .collect();
+        // A reference answer depends only on the leaves it covers, so each
+        // is computed once and compared after every push.
+        let roots: Vec<[u8; 32]> = (0..=N).map(|m| subtree_hash(&leaves[..m])).collect();
+        let paths: Vec<Vec<Vec<[u8; 32]>>> = (0..=N)
+            .map(|m| (0..m).map(|i| path(i, &leaves[..m])).collect())
+            .collect();
+        let consistency: Vec<Vec<Vec<[u8; 32]>>> = (0..=N)
+            .map(|b| {
+                (0..=b)
+                    .map(|a| match a {
+                        0 => Vec::new(),
+                        a if a == b => Vec::new(),
+                        a => subproof(a, &leaves[..b], true),
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let mut t = MerkleTree::new();
+        for n in 1..=N {
+            t.push(format!("entry-{}", n - 1).as_bytes());
+            assert_eq!(t.root(), roots[n], "root at n={n}");
+            for m in 0..=n {
+                let size = m as u64;
+                assert_eq!(t.root_at(size), Some(roots[m]), "root_at({m}), n={n}");
+                let auth = t.authenticator(size).unwrap();
+                assert_eq!(auth.size(), size);
+                assert_eq!(auth.root(), roots[m], "authenticator({m}), n={n}");
+                assert!(auth.inclusion_proof(size).is_none());
+                for (i, want) in paths[m].iter().enumerate() {
+                    let (index, want) = (i as u64, Some(want.clone()));
+                    assert_eq!(t.inclusion_proof(index, size), want, "({i}, {m}), n={n}");
+                    assert_eq!(auth.inclusion_proof(index), want, "auth ({i}, {m}), n={n}");
+                }
+                for (a, want) in consistency[m].iter().enumerate() {
+                    assert_eq!(
+                        t.consistency_proof(a as u64, size).as_ref(),
+                        Some(want),
+                        "consistency {a} -> {m}, n={n}"
+                    );
+                }
+            }
+            assert!(t.authenticator(n as u64 + 1).is_none());
+        }
+    }
+
+    #[test]
+    fn roots_and_proofs_hash_at_most_log_squared_nodes() {
+        let n = 1_000u64;
+        let t = tree_of(n);
+        let log2 = u64::from(u64::BITS - (n - 1).leading_zeros());
+        let bound = log2 * log2;
+        let check = |what: String, hashes: u64| {
+            assert!(hashes <= bound, "{what}: {hashes} node hashes > {bound}");
+        };
+        for size in (1..=n).step_by(7).chain([511, 512, 513, 999, 1000]) {
+            check(
+                format!("root_at({size})"),
+                node_hashes_in(|| {
+                    t.root_at(size);
+                }),
+            );
+            check(
+                format!("authenticator({size})"),
+                node_hashes_in(|| {
+                    t.authenticator(size);
+                }),
+            );
+            for other in (0..size).step_by(13).chain([size - 1]) {
+                check(
+                    format!("inclusion_proof({other}, {size})"),
+                    node_hashes_in(|| {
+                        t.inclusion_proof(other, size);
+                    }),
+                );
+                check(
+                    format!("consistency_proof({other}, {size})"),
+                    node_hashes_in(|| {
+                        t.consistency_proof(other, size);
+                    }),
                 );
             }
-            assert!(auth.inclusion_proof(size).is_none());
         }
-        assert!(t.authenticator(34).is_none());
+        check(
+            "root".into(),
+            node_hashes_in(|| {
+                t.root();
+            }),
+        );
+    }
+
+    #[test]
+    fn push_hashes_one_node_on_average() {
+        let n = 1_024u64;
+        let hashes = node_hashes_in(|| {
+            tree_of(n);
+        });
+        assert_eq!(hashes, n - 1);
     }
 
     #[test]

@@ -206,10 +206,10 @@ impl Monitor {
             return self.findings.len() - before;
         }
         // Inclusion of every entry the checkpoint did not yet cover. Proofs
-        // for the whole batch come from one authenticator pass over the
-        // signed tree state instead of an O(n) recomputation per entry
-        // (proof bytes are identical either way; the per-entry fallback
-        // exists so the caching kill-switch can A/B the two paths).
+        // for the whole batch come from one authenticator over the signed
+        // tree state instead of an O(log n) hashing walk per entry (proof
+        // bytes are identical either way; the per-entry fallback exists so
+        // the caching kill-switch can A/B the two paths).
         let auth = (old_size < sth.tree_size && pinning_pki::cache::caching_enabled())
             .then(|| log.authenticator(sth.tree_size))
             .flatten();

@@ -21,7 +21,11 @@ use std::collections::HashMap;
 /// flat per-query overhead of the underlying union lookup).
 pub const COST_LOCATOR_LOOKUP: u64 = 3;
 /// Work units charged per `tree_size / PROOF_COST_DIVISOR` leaves when an
-/// authenticator must be built fresh (the O(n) hashing pass).
+/// authenticator must be built fresh. The charge models a CT backend
+/// materialising a tree state, which grows with the tree; in process the
+/// build is a copy of the log's stored subtree hashes plus O(log n) node
+/// hashes. The units are virtual ticks that decide timeouts and latency,
+/// so they stay fixed when the in-process cost moves.
 pub const PROOF_COST_DIVISOR: u64 = 4;
 /// Work units charged for assembling a proof from a ready authenticator.
 pub const COST_PROOF_ASSEMBLY: u64 = 8;
@@ -67,7 +71,7 @@ pub struct PinResolver<'a> {
     logs: &'a LogSet,
     cache: RefCell<LocatorCache>,
     /// One [`TreeAuthenticator`] per (shard index, tree size): proving many
-    /// entries under the same signed tree state costs one hashing pass.
+    /// entries under the same signed tree state costs one build.
     auth_cache: RefCell<HashMap<(usize, u64), TreeAuthenticator>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
@@ -147,9 +151,10 @@ impl<'a> PinResolver<'a> {
     /// Inclusion proof for a located entry under the tree state of
     /// `tree_size`, byte-identical to asking the shard's log directly.
     /// Proof generation is batched per (shard, tree size): the first proof
-    /// for a tree state pays one O(n) hashing pass over the shard's
-    /// authenticator, every later proof for the same state is assembled
-    /// without hashing ([`crate::merkle::PROOF_BATCH`] counts the split).
+    /// for a tree state builds the shard's authenticator from the log's
+    /// stored subtree hashes, every later proof for the same state is
+    /// assembled without hashing ([`crate::merkle::PROOF_BATCH`] counts the
+    /// split).
     /// Returns `None` for unknown shards or out-of-range entries/sizes.
     pub fn inclusion_proof(&self, loc: EntryLocator, tree_size: u64) -> Option<Vec<[u8; 32]>> {
         self.inclusion_proof_within(loc, tree_size, &Deadline::unlimited())
@@ -158,11 +163,11 @@ impl<'a> PinResolver<'a> {
 
     /// [`PinResolver::inclusion_proof`] under a work-budget deadline.
     ///
-    /// The cost model mirrors the real work: a fresh authenticator pays
-    /// `tree_size / PROOF_COST_DIVISOR + 1` units for the O(n) hashing
-    /// pass (charged *before* hashing, so a too-tight deadline abandons
-    /// proof generation before any work), a cached authenticator pays one
-    /// unit, and assembling the proof path pays
+    /// The cost model is a CT backend's: a fresh authenticator pays
+    /// `tree_size / PROOF_COST_DIVISOR + 1` units for materialising the
+    /// tree state (charged *before* the build, so a too-tight deadline
+    /// abandons proof generation before any work), a cached authenticator
+    /// pays one unit, and assembling the proof path pays
     /// [`COST_PROOF_ASSEMBLY`]. With caching disabled every call pays the
     /// fresh-build price.
     pub fn inclusion_proof_within(

@@ -26,8 +26,12 @@ pub struct ServeConfig {
     pub deadline_validate: u64,
     /// Deadline for `Resolve` requests, ticks from arrival.
     pub deadline_resolve: u64,
-    /// Deadline for `Proof` requests, ticks from arrival (proofs pay an
-    /// O(tree) authenticator build on cold trees, so this is the longest).
+    /// Deadline for `Proof` requests, ticks from arrival. Proofs are the
+    /// longest class: on a cold tree state they pay the resolver's
+    /// authenticator-build charge, `tree_size / PROOF_COST_DIVISOR + 1`
+    /// ticks, which models a CT backend and grows with the log (the
+    /// in-process build is O(log n) hashing; the charge is unchanged so
+    /// timeouts and latencies stay as calibrated).
     pub deadline_proof: u64,
     /// Retry budget for transient backend faults. `backoff_secs` is read
     /// as *ticks* here; `deadline_secs` is unused (the per-endpoint

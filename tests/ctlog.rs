@@ -254,3 +254,91 @@ fn world_coverage_is_partial_and_spread_across_shards() {
         assert_eq!(a.log.root(), b.log.root());
     }
 }
+
+// ---------------------------------------------------------------------
+// Frozen outputs of the paths that read the Merkle tree: the serving
+// front end's proofs and the report's CT section. The expected SHA-256s
+// were computed when the tree still rebuilt every root and proof from its
+// leaves, so a change in how it stores or walks subtrees that moves one
+// output byte fails here.
+
+use app_tls_pinning::core::{Study, StudyConfig};
+use app_tls_pinning::crypto::{hex_encode, sha256};
+use app_tls_pinning::pki::validate::{validate_chain_cached, RevocationList, ValidationOptions};
+use app_tls_pinning::pki::Certificate;
+use pinning_bench::load::{generate_load, LoadConfig};
+use pinning_serve::{Backend, Outcome, Payload, PinService, RequestBody, ServeConfig};
+
+#[test]
+fn serve_responses_and_summary_hash_as_frozen() {
+    let seed = 0x5EE7;
+    let world = World::generate(WorldConfig::tiny(seed));
+    let load = generate_load(&world, &LoadConfig::overload_smoke(seed));
+    let config = ServeConfig {
+        seed,
+        workers: 2,
+        queue_capacity: 32,
+        brownout_high: 32,
+        brownout_low: 8,
+        backend_flakiness: 0.3,
+        ..ServeConfig::default()
+    };
+    let (crl, options) = (RevocationList::empty(), ValidationOptions::default());
+    // Complete the process-global validation memo over this trace first,
+    // so the run's memo hits (and the deadline charges they save) do not
+    // depend on what ran before it in this process.
+    for req in &load.requests {
+        let RequestBody::ValidateChain {
+            hostname,
+            chain_der,
+        } = &req.body
+        else {
+            continue;
+        };
+        if let Ok(chain) = chain_der
+            .iter()
+            .map(|der| Certificate::from_der(der))
+            .collect::<Result<Vec<Certificate>, _>>()
+        {
+            let store = &world.universe.aosp_oem;
+            let _ = validate_chain_cached(&chain, store, hostname, world.now, &crl, &options);
+        }
+    }
+    let backend = Backend {
+        roots: &world.universe.aosp_oem,
+        logs: &world.ctlog,
+        crl,
+        options,
+        now: world.now,
+    };
+    let mut service = PinService::new(config, backend);
+    let responses = service.run(&load.requests);
+    let summary = service.summary(&responses);
+
+    let proofs = responses
+        .iter()
+        .filter(|r| {
+            matches!(
+                r.outcome,
+                Outcome::Ok(Payload::InclusionProof { verified: true, .. })
+            )
+        })
+        .count();
+    assert!(proofs > 0, "the trace must serve verified inclusion proofs");
+    let digest = hex_encode(&sha256(format!("{responses:?}{summary:?}").as_bytes()));
+    assert_eq!(
+        digest, "36601b5969e60b37edbba2b9758c776e59cbd109282dfca72115edc7cb32d789",
+        "serve responses or summary moved"
+    );
+}
+
+#[test]
+fn report_ct_section_hashes_as_frozen() {
+    let ct = Study::new(StudyConfig::tiny(0xC7F0)).run().render_ct();
+    assert!(ct.contains("shard"), "{ct}");
+    let digest = hex_encode(&sha256(ct.as_bytes()));
+    assert_eq!(
+        digest, "45cf76c9e3373ff72c7e42508611a569f2b063824bf1a2dc81efca06c9dc95df",
+        "CT section moved:\n{ct}"
+    );
+}
