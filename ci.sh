@@ -27,6 +27,9 @@ cargo test -q --workspace --offline
 echo "==> chaos suite (fault injection + degradation)"
 cargo test -q --offline --test chaos
 
+echo "==> shared-state check (chaos + perf_equivalence at 16 test threads: a test that leans on process-wide state fails here instead of hiding behind test ordering)"
+cargo test -q --offline --test chaos --test perf_equivalence -- --test-threads=16
+
 echo "==> ctlog suite (Merkle proofs, sharding, auditor, resolver)"
 cargo test -q -p pinning-ctlog --offline
 
@@ -37,7 +40,7 @@ grep -qF "storage-fault smoke OK" /tmp/chaos_smoke.out || { echo "chaos smoke mi
 echo "==> storage-fault matrix (durable-media fault plans x journal writers x kill points)"
 cargo test -q --offline --test chaos fault_matrix
 
-echo "==> bench smoke (cached-vs-uncached A/B; fails on report divergence)"
+echo "==> bench smoke (with-vs-without-memo A/B; fails on report divergence)"
 cargo bench -q -p pinning-bench --bench perf --offline -- smoke
 
 echo "==> fuzz smoke (every decoder, mutation fuzz, fixed seed; fails on any panic)"

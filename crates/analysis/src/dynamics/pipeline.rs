@@ -17,6 +17,7 @@ use pinning_netsim::network::Network;
 use pinning_netsim::proxy::MitmProxy;
 use pinning_pki::store::RootStore;
 use pinning_pki::time::SimTime;
+use pinning_pki::validate::ValidationMemo;
 
 /// Bounded retry with deterministic backoff for faulted run pairs
 /// (shared with the serve layer; re-exported here for compatibility).
@@ -53,9 +54,9 @@ pub struct DynamicEnv<'a> {
 }
 
 impl<'a> DynamicEnv<'a> {
-    /// Builds the environment (no fault injection, default retries): the
-    /// proxy, the test identity, and one device per platform over its
-    /// factory store with the proxy CA installed.
+    /// Builds the environment (no faults, default retries, process-default
+    /// memo): the proxy, the test identity, and one device per platform
+    /// over its factory store with the proxy CA installed.
     pub fn new(
         network: &'a Network,
         android_factory: RootStore,
@@ -100,6 +101,14 @@ impl<'a> DynamicEnv<'a> {
     /// Enables per-endpoint circuit breakers with the given tuning.
     pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
         self.breaker = Some(breaker);
+        self
+    }
+
+    /// Validates both devices' chains through `memo` instead of the
+    /// process default (`None` = no memo; verdicts are identical).
+    pub fn with_memo(mut self, memo: Option<&'a ValidationMemo>) -> Self {
+        self.android.memo = memo;
+        self.ios.memo = memo;
         self
     }
 

@@ -19,8 +19,8 @@
 //! mode that runs second cannot decide it. The byte-identity and
 //! nonzero-replay checks apply to every pair.
 //!
-//! The validation memo, the only process-global memo, is cleared before
-//! each mode so neither arm inherits the other's warm cache. Results go
+//! Each mode's `Evolution` owns a fresh validation memo, so neither arm
+//! inherits the other's warm cache. Results go
 //! to `BENCH_epoch.json` at the workspace root, which is re-read and
 //! structurally checked before the bench reports success.
 //!
@@ -91,10 +91,9 @@ struct ModeRun {
     evolution_ns: u128,
 }
 
-/// Runs all epochs in one mode. The validation memo is cleared first, so
+/// Runs all epochs in one mode. The engine's validation memo is new, so
 /// the mode starts genuinely cold.
 fn run_mode(config: &EpochConfig, incremental: bool) -> ModeRun {
-    pinning_pki::validate::clear_validation_cache();
     let mut engine = Evolution::new(config.clone(), incremental);
     let mut reports = Vec::new();
     let mut evolution_ns = 0;

@@ -1,14 +1,14 @@
-//! Cached-vs-uncached A/B benchmarks and the `BENCH_pr4.json` artifact.
+//! With-vs-without-cache A/B benchmarks and the `BENCH_pr4.json` artifact.
 //!
-//! Every derived-value cache in the workspace sits behind one kill-switch
-//! (`pinning_pki::cache::set_caching_enabled`), so the same workload can be
-//! timed both ways inside one process. This target does exactly that —
-//! micro A/B benches for the per-certificate caches, the chain-validation
-//! memo and batched Merkle proof generation, the per-table regeneration
-//! benches with mean/median/p95, and a full end-to-end study per mode —
-//! then writes the numbers to `BENCH_pr4.json` at the workspace root.
+//! A cache that can be left out is timed both ways inside one process:
+//! the chain-validation memo (`validate_with` a [`ValidationMemo`] against
+//! without one), batched Merkle proofs (an authenticator against the
+//! tree's own per-proof walk), and a full end-to-end study run without a
+//! validation memo and with one. Alongside: SHA-256 throughput and the
+//! per-table regeneration benches with mean/median/p95. The numbers go to
+//! `BENCH_pr4.json` at the workspace root.
 //!
-//! The A/B is also a correctness gate: if the cached and uncached study
+//! The end-to-end A/B is also a correctness gate: if the two study
 //! reports differ in a single byte, the bench exits non-zero (CI runs it
 //! in smoke mode).
 //!
@@ -26,31 +26,28 @@ use pinning_crypto::sig::KeyPair;
 use pinning_crypto::{sha256, sha256_many, SplitMix64};
 use pinning_ctlog::merkle::MerkleTree;
 use pinning_pki::authority::CertificateAuthority;
-use pinning_pki::cache::{caching_disabled_scope, caching_enabled};
 use pinning_pki::name::DistinguishedName;
 use pinning_pki::store::RootStore;
 use pinning_pki::time::{SimTime, Validity, YEAR};
-use pinning_pki::validate::{
-    clear_validation_cache, validate_chain_cached, RevocationList, ValidationOptions,
-};
+use pinning_pki::validate::{validate_with, RevocationList, ValidationMemo, ValidationOptions};
 use pinning_pki::Certificate;
 use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
 
-/// One cached-vs-uncached measurement.
+/// One with-vs-without-cache measurement.
 struct AbPair {
     cached: BenchStats,
     uncached: BenchStats,
 }
 
 impl AbPair {
-    fn measure(name: &str, iters: u32, mut f: impl FnMut()) -> AbPair {
-        assert!(caching_enabled(), "A/B benches start from the cached state");
-        let cached = time_bench_stats(&format!("{name} (cached)"), iters, &mut f);
-        let _off = caching_disabled_scope();
-        let uncached = time_bench_stats(&format!("{name} (uncached)"), iters, &mut f);
-        AbPair { cached, uncached }
+    /// Times `cached` and `uncached`, which must do the same work.
+    fn measure(name: &str, iters: u32, cached: impl FnMut(), uncached: impl FnMut()) -> AbPair {
+        AbPair {
+            cached: time_bench_stats(&format!("{name} (cached)"), iters, cached),
+            uncached: time_bench_stats(&format!("{name} (uncached)"), iters, uncached),
+        }
     }
 
     fn speedup(&self) -> f64 {
@@ -71,8 +68,9 @@ impl AbPair {
     }
 }
 
-/// Fixture: a root CA, a root store holding it, and a few issued leaves.
-fn pki_fixture(n_leaves: usize) -> (RootStore, Vec<Certificate>, Vec<Certificate>) {
+/// Fixture: a root store holding a root CA, and `n_leaves` two-certificate
+/// chains (leaf, root) laid end to end.
+fn pki_fixture(n_leaves: usize) -> (RootStore, Vec<Certificate>) {
     let mut rng = SplitMix64::new(0xbe7c);
     let mut root = CertificateAuthority::new_root(
         DistinguishedName::new("Bench Root", "Sim", "US"),
@@ -81,7 +79,6 @@ fn pki_fixture(n_leaves: usize) -> (RootStore, Vec<Certificate>, Vec<Certificate
     );
     let mut store = RootStore::new("bench");
     store.add(root.cert.clone());
-    let mut leaves = Vec::new();
     let mut chains = Vec::new();
     for i in 0..n_leaves {
         let key = KeyPair::generate(&mut rng);
@@ -91,49 +88,38 @@ fn pki_fixture(n_leaves: usize) -> (RootStore, Vec<Certificate>, Vec<Certificate
             &key,
             Validity::starting(SimTime(0), YEAR),
         );
-        chains.push(leaf.clone());
+        chains.push(leaf);
         chains.push(root.cert.clone());
-        leaves.push(leaf);
     }
-    (store, leaves, chains)
+    (store, chains)
 }
 
 fn micro_benches(smoke: bool) -> Vec<(String, AbPair)> {
     let iters: u32 = if smoke { 5 } else { 30 };
     let mut out = Vec::new();
 
-    // Per-certificate derived values: DER, fingerprint, SPKI digest, pin
-    // string. Cached = OnceLock hits; uncached = full recompute per read.
-    let (store, leaves, _) = pki_fixture(8);
-    out.push((
-        "cert-derived-values".to_string(),
-        AbPair::measure("cert_derived_values", iters, || {
-            for leaf in &leaves {
-                black_box(leaf.der_bytes());
-                black_box(leaf.fingerprint_sha256());
-                black_box(leaf.spki_sha256());
-                black_box(leaf.spki_pin_string());
-            }
-        }),
-    ));
-
     // Chain validation: memoized verdict vs full signature/hostname/expiry
     // walk. One iteration validates each fixture chain once.
-    let (_, _, chain_pool) = pki_fixture(4);
+    let (store, chain_pool) = pki_fixture(4);
     let chains: Vec<&[Certificate]> = chain_pool.chunks(2).collect();
     let crl = RevocationList::empty();
     let opts = ValidationOptions::default();
-    clear_validation_cache();
+    let memo = ValidationMemo::default();
+    let validate_each = |memo: Option<&ValidationMemo>| {
+        for (i, chain) in chains.iter().enumerate() {
+            let host = format!("h{i}.bench.example");
+            let verdict = validate_with(memo, chain, &store, &host, SimTime(100), &crl, &opts);
+            black_box(verdict.is_ok());
+        }
+    };
     out.push((
         "chain-validation".to_string(),
-        AbPair::measure("chain_validation", iters, || {
-            for (i, chain) in chains.iter().enumerate() {
-                let host = format!("h{i}.bench.example");
-                black_box(
-                    validate_chain_cached(chain, &store, &host, SimTime(100), &crl, &opts).is_ok(),
-                );
-            }
-        }),
+        AbPair::measure(
+            "chain_validation",
+            iters,
+            || validate_each(Some(&memo)),
+            || validate_each(None),
+        ),
     ));
 
     // Batched Merkle proofs: one authenticator (a copy of the tree's stored
@@ -150,18 +136,21 @@ fn micro_benches(smoke: bool) -> Vec<(String, AbPair)> {
     }
     out.push((
         "merkle-proof-batch".to_string(),
-        AbPair::measure("merkle_proof_batch", iters.min(10), || {
-            if caching_enabled() {
+        AbPair::measure(
+            "merkle_proof_batch",
+            iters.min(10),
+            || {
                 let auth = tree.authenticator(n).expect("size in range");
                 for i in 0..n {
                     black_box(auth.inclusion_proof(i));
                 }
-            } else {
+            },
+            || {
                 for i in 0..n {
                     black_box(tree.inclusion_proof(i, n));
                 }
-            }
-        }),
+            },
+        ),
     ));
     out
 }
@@ -282,21 +271,20 @@ impl EndToEnd {
     }
 }
 
-/// Runs one full study + report render, cold: the validation memo (the
-/// only process-global one) is cleared first, and each leg generates its
+/// Runs one full study + report render, cold: the study's validation
+/// memo (if any) is its own and starts empty, and each leg generates its
 /// own world, so per-certificate caches start empty either way.
-fn study_leg(config: StudyConfig) -> (String, f64, usize) {
-    clear_validation_cache();
+fn study_leg(study: Study) -> (String, f64, usize) {
     let t0 = Instant::now();
-    let results = Study::new(config).run();
+    let results = study.run();
     let report = results.render_all();
     let ms = t0.elapsed().as_secs_f64() * 1e3;
     (report, ms, results.records.len())
 }
 
 /// The headline A/B: the same end-to-end study (world generation →
-/// static/dynamic/circumvention pipeline → all report tables) with every
-/// cache disabled, then enabled.
+/// static/dynamic/circumvention pipeline → all report tables) without a
+/// validation memo, then with one.
 fn end_to_end(smoke: bool) -> EndToEnd {
     let threads = bench_threads();
     let (scale, config) = if smoke {
@@ -310,11 +298,9 @@ fn end_to_end(smoke: bool) -> EndToEnd {
         ("bench", c)
     };
 
-    let (uncached_report, uncached_ms, apps) = {
-        let _off = caching_disabled_scope();
-        study_leg(config.clone())
-    };
-    let (cached_report, cached_ms, _) = study_leg(config);
+    let (uncached_report, uncached_ms, apps) =
+        study_leg(Study::new(config.clone()).with_memo(None));
+    let (cached_report, cached_ms, _) = study_leg(Study::new(config));
 
     let identical = uncached_report == cached_report;
     println!(
@@ -372,7 +358,7 @@ fn main() {
     println!("wrote {}", path.display());
 
     if !e2e.identical {
-        eprintln!("FAIL: cached and uncached study reports diverge — caching changed results");
+        eprintln!("FAIL: study reports with and without a validation memo diverge");
         std::process::exit(1);
     }
 }

@@ -6,7 +6,7 @@ use pinning_app::platform::Platform;
 use pinning_bench::{shared_world, time_bench};
 use pinning_crypto::sha256;
 use pinning_netsim::device::RunConfig;
-use pinning_pki::validate::{validate_chain, RevocationList, ValidationOptions};
+use pinning_pki::validate::{validate_chain, RevocationList, ValidationMemo, ValidationOptions};
 use pinning_store::config::WorldConfig;
 use pinning_store::world::World;
 use pinning_tls::{establish, ClientConfig, ServerEndpoint, TlsLibrary};
@@ -53,6 +53,7 @@ fn main() {
     // --- one TLS handshake ---
     let client = ClientConfig::modern(TlsLibrary::OkHttp);
     let endpoint = ServerEndpoint::modern(&server.chain);
+    let memo = ValidationMemo::default();
     time_bench("tls_handshake", 100, || {
         black_box(establish(
             &client,
@@ -61,6 +62,7 @@ fn main() {
             world.now,
             &world.universe.aosp_oem,
             &world.network.crl,
+            Some(&memo),
         ));
     });
 

@@ -15,7 +15,7 @@
 //!   the assertion — hostile bodies come back as structured answers).
 //!
 //! The run is measured once warm: a warm-up pass populates the
-//! process-global validation memo and the CT authenticator caches, then
+//! process-default validation memo and the CT authenticator caches, then
 //! two measured passes (fresh service state each) must agree exactly.
 //! Throughput/latency/shed/degraded/breaker/cache numbers go to
 //! `BENCH_serve.json` at the workspace root, which is re-read and
@@ -218,7 +218,7 @@ fn main() {
         cold_summary.shed_total()
     );
 
-    // Bring the process-global validation memo to a *complete* state
+    // Bring the process-default validation memo to a *complete* state
     // before the measured passes: validate every decodable chain in the
     // trace offline with an unlimited budget. A service pass over a
     // merely partially-warm memo can still insert entries (a chain that

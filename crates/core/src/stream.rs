@@ -35,7 +35,7 @@ use pinning_app::platform::Platform;
 use pinning_crypto::Sha256;
 use pinning_netsim::faults::MeasurementError;
 use pinning_pki::encode::{Reader, Writer};
-use pinning_pki::validate::clear_validation_cache;
+use pinning_pki::validate::ValidationMemo;
 use pinning_report::tables::{table_run_health, RunHealthReport};
 use pinning_resilience::media::{Media, MediaError, VecMedia};
 use pinning_resilience::recovery::ScrubStats;
@@ -330,18 +330,21 @@ impl StreamEngine {
         // fold order cannot affect the rendered bytes.
         let fresh = Mutex::new(StreamAccum::default());
 
-        // Materialize, measure, drop: the shard and its env die when this
-        // returns, so the in-flight bound is what bounds how many of them
-        // exist at once.
+        // Materialize, measure, drop: the shard, its env and its validation
+        // memo die when this returns, so the in-flight bound is what bounds
+        // how many of them exist at once, and memory stays flat however
+        // many unique chains the stream presents.
         let measure_shard = |k: usize| -> StreamAccum {
             let shard = world.generate_shard(k);
+            let memo = ValidationMemo::default();
             let env = DynamicEnv::new(
                 &shard.network,
                 universe.aosp_oem.clone(),
                 universe.ios.clone(),
                 shard.now,
                 seed,
-            );
+            )
+            .with_memo(Some(&memo));
             let identity = env.device(Platform::Android).identity.clone();
             let mut acc = StreamAccum {
                 shards: 1,
@@ -368,11 +371,6 @@ impl StreamEngine {
                 );
             }
             apps_measured.fetch_add(shard.apps.len() as u64, Ordering::Relaxed);
-            // The chain-validation memo is process-global and would grow
-            // with every unique streamed chain; clearing per shard keeps
-            // memory flat. Values are deterministic, so a clear racing
-            // another worker costs recomputation, never correctness.
-            clear_validation_cache();
             fresh.lock().expect("fold lock").merge(&acc);
             acc
         };

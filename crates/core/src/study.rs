@@ -22,6 +22,8 @@ use pinning_app::platform::Platform;
 use pinning_crypto::sha256;
 use pinning_netsim::breaker::BreakerConfig;
 use pinning_netsim::faults::{FaultConfig, MeasurementError};
+use pinning_pki::cache::CacheStat;
+use pinning_pki::validate::ValidationMemo;
 use pinning_store::config::WorldConfig;
 use pinning_store::datasets::{
     build_datasets, collision_report, CollisionReport, Dataset, DatasetKind,
@@ -29,6 +31,7 @@ use pinning_store::datasets::{
 use pinning_store::world::World;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Supervision knobs: watchdog telemetry plus the crash/kill test hooks.
@@ -162,13 +165,9 @@ pub struct RunHealth {
     /// Epoch engine only: apps re-measured because an epoch event dirtied
     /// their fingerprint (0 outside epoch runs).
     pub reanalyzed_dirty: usize,
-    /// Baseline snapshot of every derived-value cache, taken when the
-    /// study started executing. `render_run_health` diffs the live
-    /// counters against this, so the reported hit/miss rows cover the
-    /// whole run *including* render-time work (Table 6's certificate
-    /// reads, the CT auditor's batched proofs). Empty when caching was
-    /// disabled for the whole run.
-    pub cache_base: Vec<pinning_pki::cache::CacheStat>,
+    /// This run's chain-validation traffic through its memo (`None` when
+    /// the run had no memo).
+    pub validation_memo: Option<CacheStat>,
 }
 
 impl RunHealth {
@@ -180,15 +179,6 @@ impl RunHealth {
         self.journal_repairs += stats.repairs;
         self.checkpoints_recovered += stats.checkpoints_recovered;
     }
-}
-
-/// Snapshots every derived-value cache the study exercises, in stable
-/// order: the pki certificate/validation caches and the CT proof-batch
-/// counter.
-pub(crate) fn cache_snapshot() -> Vec<pinning_pki::cache::CacheStat> {
-    let mut stats = pinning_pki::cache::snapshot_all();
-    stats.push(pinning_ctlog::merkle::PROOF_BATCH.snapshot());
-    stats
 }
 
 /// How a journaled run ended.
@@ -207,16 +197,27 @@ pub enum StudyOutcome {
     },
 }
 
-/// The study: configuration plus the run methods.
+/// The study: configuration, its run's validation memo, and the run methods.
 #[derive(Debug)]
 pub struct Study {
     config: StudyConfig,
+    memo: Option<Arc<ValidationMemo>>,
 }
 
 impl Study {
-    /// Creates a study.
+    /// Creates a study with a fresh validation memo of its own.
     pub fn new(config: StudyConfig) -> Self {
-        Study { config }
+        Study {
+            config,
+            memo: Some(Arc::default()),
+        }
+    }
+
+    /// Runs with `memo` instead (`None` = none; results are identical). The
+    /// epoch engine hands every epoch's study the same memo.
+    pub fn with_memo(mut self, memo: Option<Arc<ValidationMemo>>) -> Self {
+        self.memo = memo;
+        self
     }
 
     /// Runs everything: world → datasets → per-app static/dynamic/
@@ -326,7 +327,7 @@ impl Study {
         fingerprint: [u8; 32],
         mut statics: BTreeMap<usize, StaticFindings>,
     ) -> Result<StudyOutcome, JournalError> {
-        health.cache_base = cache_snapshot();
+        let memo_base = self.memo.as_ref().map(|memo| (memo, memo.stats()));
         let handed = ResultJournal::open_expecting(journal.as_bytes(), fingerprint)?;
         let handed_len = journal.as_bytes().len();
         let done: BTreeSet<usize> = handed
@@ -363,7 +364,8 @@ impl Study {
             self.config.world.seed,
         )
         .with_faults(self.config.faults)
-        .with_retry(self.config.retry);
+        .with_retry(self.config.retry)
+        .with_memo(self.memo.as_deref());
         if let Some(b) = self.config.breaker {
             env = env.with_breaker(b);
         }
@@ -419,6 +421,7 @@ impl Study {
         )?;
         health.watchdog_breaches = run.watchdog_breaches;
         health.fresh_apps = run.fresh;
+        health.validation_memo = memo_base.map(|(memo, base)| memo.stats().delta_since(&base));
         let journal = run.journal;
         if run.killed {
             return Ok(StudyOutcome::Interrupted {

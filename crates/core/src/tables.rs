@@ -747,15 +747,12 @@ impl StudyResults {
             fresh_apps: self.health.fresh_apps,
             replayed_prior_epoch: self.health.replayed_prior_epoch,
             reanalyzed_dirty: self.health.reanalyzed_dirty,
-            // Live delta against the study-start baseline, so cache work
-            // done while rendering tables (Table 6's certificate reads,
-            // batched CT proofs) is included.
-            cache_rows: crate::study::cache_snapshot()
+            cache_rows: self
+                .health
+                .validation_memo
                 .iter()
-                .zip(&self.health.cache_base)
-                .map(|(now, base)| now.delta_since(base))
                 .map(|c| tables::CacheRow {
-                    name: c.name,
+                    name: c.name.clone(),
                     hits: c.hits,
                     misses: c.misses,
                 })

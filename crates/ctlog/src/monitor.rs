@@ -208,17 +208,13 @@ impl Monitor {
         // Inclusion of every entry the checkpoint did not yet cover. Proofs
         // for the whole batch come from one authenticator over the signed
         // tree state instead of an O(log n) hashing walk per entry (proof
-        // bytes are identical either way; the per-entry fallback exists so
-        // the caching kill-switch can A/B the two paths).
-        let auth = (old_size < sth.tree_size && pinning_pki::cache::caching_enabled())
+        // bytes are identical either way).
+        let auth = (old_size < sth.tree_size)
             .then(|| log.authenticator(sth.tree_size))
             .flatten();
         let mut all_included = true;
         for index in old_size..sth.tree_size {
-            let proof = match &auth {
-                Some(a) => a.inclusion_proof(index),
-                None => log.inclusion_proof(index, sth.tree_size),
-            };
+            let proof = auth.as_ref().and_then(|a| a.inclusion_proof(index));
             let ok = log
                 .leaf_hash(index)
                 .zip(proof)

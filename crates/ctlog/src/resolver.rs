@@ -168,8 +168,7 @@ impl<'a> PinResolver<'a> {
     /// tree state (charged *before* the build, so a too-tight deadline
     /// abandons proof generation before any work), a cached authenticator
     /// pays one unit, and assembling the proof path pays
-    /// [`COST_PROOF_ASSEMBLY`]. With caching disabled every call pays the
-    /// fresh-build price.
+    /// [`COST_PROOF_ASSEMBLY`].
     pub fn inclusion_proof_within(
         &self,
         loc: EntryLocator,
@@ -181,10 +180,6 @@ impl<'a> PinResolver<'a> {
             return Ok(None);
         };
         let build_cost = tree_size / PROOF_COST_DIVISOR + 1;
-        if !pinning_pki::cache::caching_enabled() {
-            deadline.charge(build_cost + COST_PROOF_ASSEMBLY)?;
-            return Ok(shard.log.inclusion_proof(entry_idx, tree_size));
-        }
         let mut cache = self.auth_cache.borrow_mut();
         let auth = match cache.entry((shard_idx, tree_size)) {
             Entry::Occupied(e) => {

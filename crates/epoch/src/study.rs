@@ -20,6 +20,7 @@ use pinning_core::record::AppRecord;
 use pinning_core::study::{Study, StudyConfig, StudyOutcome, StudyResults, SupervisorConfig};
 use pinning_crypto::Sha256;
 use pinning_netsim::faults::FaultConfig;
+use pinning_pki::validate::ValidationMemo;
 use pinning_report::evolution::{
     self, AdoptionPoint, CtDriftPoint, DistrustRow, EpochCostRow, EventCountRow, RotationRow,
 };
@@ -29,7 +30,7 @@ use pinning_resilience::recovery::{CheckpointStore, ScrubStats};
 use pinning_store::datasets::build_datasets;
 use pinning_store::world::World;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// How one epoch run ended.
@@ -84,6 +85,8 @@ pub struct Evolution {
     /// Journal-scrub and checkpoint-fallback accounting accumulated over
     /// this engine's lifetime (resumes, checkpoint recoveries).
     recovery: ScrubStats,
+    /// The validation memo every epoch's study shares, warm across epochs.
+    memo: Option<Arc<ValidationMemo>>,
 }
 
 impl Evolution {
@@ -111,7 +114,15 @@ impl Evolution {
             event_mix: Vec::new(),
             costs: Vec::new(),
             recovery: ScrubStats::default(),
+            memo: Some(Arc::default()),
         }
+    }
+
+    /// Runs every epoch with `memo` instead of the engine's own (`None` =
+    /// validate every chain from scratch; the reports are identical).
+    pub fn with_memo(mut self, memo: Option<Arc<ValidationMemo>>) -> Self {
+        self.memo = memo;
+        self
     }
 
     /// Total epochs (baseline + evolution).
@@ -274,7 +285,7 @@ impl Evolution {
         // its findings cannot have changed. A resumed epoch brings its
         // own journal, which already holds these plus whatever fresh apps
         // committed, and scans every app as a fresh process does.
-        let study = Study::new(self.study_config(kill_after));
+        let study = Study::new(self.study_config(kill_after)).with_memo(self.memo.clone());
         let outcome = match partial {
             Some(bytes) => study.resume_on_world(world, bytes, fingerprint)?,
             None => {

@@ -18,6 +18,7 @@ use pinning_app::platform::Platform;
 use pinning_crypto::SplitMix64;
 use pinning_pki::store::RootStore;
 use pinning_pki::time::SimTime;
+use pinning_pki::validate::ValidationMemo;
 use pinning_tls::record::{Direction, TcpEvent};
 use pinning_tls::{
     establish, CertPolicy, CipherSuite, ClientConfig, ServerEndpoint, TlsLibrary, TlsVersion,
@@ -92,6 +93,9 @@ pub struct Device<'a> {
     pub identity: DeviceIdentity,
     /// Wall-clock "now" used for certificate validity.
     pub now: SimTime,
+    /// Chain-validation memo the device's TLS stacks validate through
+    /// (`None` = none); [`Device::new`] starts with the process default.
+    pub memo: Option<&'a ValidationMemo>,
     seed: u64,
 }
 
@@ -112,6 +116,7 @@ impl<'a> Device<'a> {
             os_trust: factory_store,
             identity,
             now,
+            memo: Some(ValidationMemo::process_default()),
             seed,
         }
     }
@@ -249,6 +254,7 @@ impl<'a> Device<'a> {
             self.now,
             &self.os_trust,
             &self.network.crl,
+            self.memo,
         );
         if let Ok(session) = out.result {
             session.send_client_data(&mut out.transcript, 300 + rng.next_below(200) as usize);
@@ -443,6 +449,7 @@ impl<'a> Device<'a> {
                 self.now,
                 &self.app_trust,
                 &self.network.crl,
+                self.memo,
             );
 
             let mut decrypted = None;

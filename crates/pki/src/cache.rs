@@ -1,65 +1,21 @@
-//! Process-wide caching telemetry and the runtime caching kill-switch.
+//! Cache hit/miss telemetry.
 //!
-//! The performance layer computes every derived certificate artifact (DER
-//! bytes, fingerprints, SPKI digests, pin strings, chain validations, Merkle
-//! proof batches) exactly once per distinct input. Two properties make that
-//! trustworthy rather than magic:
+//! The performance layer computes derived certificate artifacts (DER
+//! bytes, fingerprints, SPKI digests, pin strings), chain-validation
+//! verdicts and Merkle proof batches once per distinct input. Every such
+//! cache keeps a [`CacheCounter`] of hits and misses, so a reported
+//! speedup can be traced to concrete avoided recomputation.
 //!
-//! * **Observability** — every cache keeps a [`CacheCounter`] of hits and
-//!   misses. The study surfaces the counters in its run-health table, so a
-//!   reported speedup can be traced to concrete avoided recomputation.
-//! * **Falsifiability** — a global kill-switch ([`set_caching_enabled`])
-//!   turns every cache into a pass-through. Benchmarks and CI run the same
-//!   workload both ways in one process and assert the outputs are
-//!   byte-identical; the speedup claim is measured, not assumed.
-//!
-//! Counters are monotone process-wide atomics. Callers that want per-run
-//! numbers snapshot before and after (see [`CacheCounter::snapshot`] and
-//! [`CacheStat::delta_since`]).
+//! The statics below are monotone process totals; perfbench reads them.
+//! A run reports its own chain-validation traffic from the
+//! [`crate::validate::ValidationMemo`] it owns, which also adds into
+//! [`CHAIN_VALIDATION`]. That the memo is invisible in results is tested
+//! by running the same study with and without one.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Global switch: when `false`, every derived-value cache recomputes from
-/// scratch on each call (counters are left untouched in that mode).
-static CACHING_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables all derived-value caches; returns the previous state.
-///
-/// Results must be identical either way — the switch exists so benchmarks
-/// and CI can A/B the cached and uncached paths inside one process and fail
-/// loudly if they ever diverge.
-pub fn set_caching_enabled(enabled: bool) -> bool {
-    CACHING_ENABLED.swap(enabled, Ordering::Relaxed)
-}
-
-/// Whether derived-value caching is currently enabled.
-pub fn caching_enabled() -> bool {
-    CACHING_ENABLED.load(Ordering::Relaxed)
-}
-
-/// RAII guard that disables caching for a scope and restores the previous
-/// state on drop. Scopes using the guard must not overlap across threads
-/// (the switch is global); tests serialize around it.
-#[derive(Debug)]
-pub struct CachingDisabledGuard {
-    prev: bool,
-}
-
-/// Disables caching until the returned guard is dropped.
-pub fn caching_disabled_scope() -> CachingDisabledGuard {
-    CachingDisabledGuard {
-        prev: set_caching_enabled(false),
-    }
-}
-
-impl Drop for CachingDisabledGuard {
-    fn drop(&mut self) {
-        set_caching_enabled(self.prev);
-    }
-}
-
-/// Hit/miss counters for one named cache. Declared as `static`s by each
-/// caching site; cheap enough to bump on every access.
+/// Hit/miss counters for one named cache, declared as a `static` by a
+/// caching site or held by a memo; cheap enough to bump on every access.
 #[derive(Debug)]
 pub struct CacheCounter {
     name: &'static str,
@@ -75,11 +31,6 @@ impl CacheCounter {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// The cache's stable display name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Records a cache hit.
@@ -119,15 +70,6 @@ impl CacheStat {
         self.hits + self.misses
     }
 
-    /// Hit rate in `[0, 1]` (0 when unused).
-    pub fn hit_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total() as f64
-        }
-    }
-
     /// The activity between an earlier snapshot `base` of the same counter
     /// and this one — what a single study run contributed.
     pub fn delta_since(&self, base: &CacheStat) -> CacheStat {
@@ -150,23 +92,8 @@ pub static CERT_SPKI_SHA256: CacheCounter = CacheCounter::new("cert-spki-sha256"
 pub static CERT_SPKI_SHA1: CacheCounter = CacheCounter::new("cert-spki-sha1");
 /// Cached `sha256/<base64>` pin strings.
 pub static CERT_PIN_STRING: CacheCounter = CacheCounter::new("cert-pin-string");
-/// Memoized chain-validation verdicts ([`crate::validate::validate_chain_cached`]).
+/// Chain-validation verdicts, summed over every [`crate::validate::ValidationMemo`].
 pub static CHAIN_VALIDATION: CacheCounter = CacheCounter::new("chain-validation");
-
-/// Snapshots of every cache owned by this crate, in stable order.
-pub fn snapshot_all() -> Vec<CacheStat> {
-    [
-        &CERT_DER,
-        &CERT_FINGERPRINT,
-        &CERT_SPKI_SHA256,
-        &CERT_SPKI_SHA1,
-        &CERT_PIN_STRING,
-        &CHAIN_VALIDATION,
-    ]
-    .iter()
-    .map(|c| c.snapshot())
-    .collect()
-}
 
 #[cfg(test)]
 mod tests {
@@ -183,23 +110,5 @@ mod tests {
         let d = now.delta_since(&base);
         assert_eq!((d.hits, d.misses), (2, 1));
         assert_eq!(d.total(), 3);
-        assert!((d.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kill_switch_guard_restores() {
-        let before = caching_enabled();
-        {
-            let _g = caching_disabled_scope();
-            assert!(!caching_enabled());
-        }
-        assert_eq!(caching_enabled(), before);
-    }
-
-    #[test]
-    fn unused_counter_rate_is_zero() {
-        static C: CacheCounter = CacheCounter::new("idle");
-        assert_eq!(C.snapshot().hit_rate(), 0.0);
-        assert_eq!(C.name(), "idle");
     }
 }

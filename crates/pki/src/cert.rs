@@ -235,9 +235,6 @@ impl Certificate {
     /// The certificate's DER-like encoding as shared bytes, computed once
     /// per distinct certificate. The zero-copy form of [`Certificate::to_der`].
     pub fn der_bytes(&self) -> Arc<[u8]> {
-        if !cache::caching_enabled() {
-            return self.encode_der().into();
-        }
         self.debug_assert_cache_fresh();
         if let Some(der) = self.cache.der.get() {
             cache::CERT_DER.hit();
@@ -322,9 +319,6 @@ impl Certificate {
     /// SHA-256 fingerprint of the DER encoding, computed once per distinct
     /// certificate.
     pub fn fingerprint_sha256(&self) -> [u8; 32] {
-        if !cache::caching_enabled() {
-            return sha256(&self.encode_der());
-        }
         self.debug_assert_cache_fresh();
         if let Some(fp) = self.cache.fingerprint.get() {
             cache::CERT_FINGERPRINT.hit();
@@ -339,9 +333,6 @@ impl Certificate {
 
     /// SHA-256 of the SubjectPublicKeyInfo (what `sha256/...` pins commit to).
     pub fn spki_sha256(&self) -> [u8; 32] {
-        if !cache::caching_enabled() {
-            return self.tbs.public_key.spki_sha256();
-        }
         self.debug_assert_cache_fresh();
         if let Some(d) = self.cache.spki_sha256.get() {
             cache::CERT_SPKI_SHA256.hit();
@@ -356,9 +347,6 @@ impl Certificate {
 
     /// SHA-1 of the SubjectPublicKeyInfo (legacy `sha1/...` pins).
     pub fn spki_sha1(&self) -> [u8; 20] {
-        if !cache::caching_enabled() {
-            return self.tbs.public_key.spki_sha1();
-        }
         self.debug_assert_cache_fresh();
         if let Some(d) = self.cache.spki_sha1.get() {
             cache::CERT_SPKI_SHA1.hit();
@@ -373,9 +361,6 @@ impl Certificate {
 
     /// The conventional `sha256/<base64>` pin string for this certificate.
     pub fn spki_pin_string(&self) -> String {
-        if !cache::caching_enabled() {
-            return format!("sha256/{}", b64encode(&self.tbs.public_key.spki_sha256()));
-        }
         self.debug_assert_cache_fresh();
         if let Some(pin) = self.cache.pin_string.get() {
             cache::CERT_PIN_STRING.hit();

@@ -28,9 +28,9 @@
 //!   every decoder in the workspace, plus run-time chain screening
 //!   ([`limits::screen_chain`]) for pathological served chains.
 //! * [`time`] — virtual time and validity windows.
-//! * [`cache`] — hit/miss telemetry and the runtime kill-switch for the
-//!   derived-value caches (DER bytes, fingerprints, pins, validation memo)
-//!   that make the paper-scale study compute each artifact exactly once.
+//! * [`cache`] — hit/miss telemetry for the derived-value caches (DER
+//!   bytes, fingerprints, pins, validation memo) that make the
+//!   paper-scale study compute each artifact exactly once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +51,7 @@ pub mod universe;
 pub mod validate;
 
 pub use authority::CertificateAuthority;
-pub use cache::{caching_enabled, set_caching_enabled, CacheCounter, CacheStat};
+pub use cache::{CacheCounter, CacheStat};
 pub use cert::{Certificate, TbsCertificate};
 pub use chain::CertificateChain;
 pub use error::ValidationError;
@@ -61,4 +61,6 @@ pub use pin::{CertPin, Pin, PinAlgorithm, PinSet, SpkiPin};
 pub use store::RootStore;
 pub use time::{SimTime, Validity, DAY, HOUR, YEAR};
 pub use universe::PkiUniverse;
-pub use validate::{validate_chain, validate_chain_cached, RevocationList, ValidationOptions};
+pub use validate::{
+    validate_chain, validate_chain_cached, RevocationList, ValidationMemo, ValidationOptions,
+};

@@ -5,7 +5,7 @@
 //! constraints, path-length constraints, validity windows, hostname
 //! matching, root-store anchoring, and leaf revocation.
 
-use crate::cache;
+use crate::cache::{self, CacheCounter, CacheStat};
 use crate::cert::Certificate;
 use crate::error::ValidationError;
 use crate::store::RootStore;
@@ -342,66 +342,145 @@ impl ValidationKey {
     }
 }
 
-/// Memoized verdicts, keyed by every input they were computed from.
-type ValidationMemo = RwLock<HashMap<ValidationKey, Result<(), ValidationError>>>;
-
-/// The process-wide chain-validation memo.
-fn validation_memo() -> &'static ValidationMemo {
-    static MEMO: OnceLock<ValidationMemo> = OnceLock::new();
-    MEMO.get_or_init(|| RwLock::new(HashMap::new()))
+/// A chain-validation memo: verdicts keyed by every input they were
+/// computed from, plus this memo's own hit and miss counts, which also add
+/// into the process total [`cache::CHAIN_VALIDATION`].
+///
+/// Whoever runs the validations owns the memo; running without one means
+/// passing `None` to [`validate_with`], with identical verdicts. A miss is
+/// counted once per stored verdict (a caller that finishes a validation
+/// another thread stored meanwhile counts a hit), so the counts do not
+/// depend on thread scheduling. A timed-out validation counts a miss.
+#[derive(Debug)]
+pub struct ValidationMemo {
+    verdicts: RwLock<HashMap<ValidationKey, Result<(), ValidationError>>>,
+    counts: CacheCounter,
 }
 
-/// A verdict from [`validate_chain_cached_within`], with whether the memo
-/// already held it.
+impl Default for ValidationMemo {
+    fn default() -> Self {
+        ValidationMemo {
+            verdicts: RwLock::default(),
+            counts: CacheCounter::new("chain-validation"),
+        }
+    }
+}
+
+impl ValidationMemo {
+    /// The memo behind [`validate_chain_cached`] and
+    /// [`clear_validation_cache`], and behind environments built without a
+    /// memo of their own.
+    pub fn process_default() -> &'static ValidationMemo {
+        static MEMO: OnceLock<ValidationMemo> = OnceLock::new();
+        MEMO.get_or_init(ValidationMemo::default)
+    }
+
+    fn count(&self, hit: bool) {
+        let bump = if hit {
+            CacheCounter::hit
+        } else {
+            CacheCounter::miss
+        };
+        bump(&self.counts);
+        bump(&cache::CHAIN_VALIDATION);
+    }
+
+    /// Memoized [`validate_chain`]: identical verdicts, but a repeat of the
+    /// same inputs skips the signature walk. Every simulated handshake
+    /// validates a chain, and the same chains recur across thousands of apps.
+    pub fn validate(
+        &self,
+        chain: &[Certificate],
+        store: &RootStore,
+        hostname: &str,
+        now: SimTime,
+        crl: &RevocationList,
+        options: &ValidationOptions,
+    ) -> Result<(), ValidationError> {
+        validate_with(Some(self), chain, store, hostname, now, crl, options)
+    }
+
+    /// [`ValidationMemo::validate`] under a work-budget deadline,
+    /// reporting whether the verdict came from the memo.
+    ///
+    /// Memo hits cost only [`COST_MEMO_PROBE`]; misses pay the probe plus
+    /// the full [`validate_chain_within`] walk. A verdict that timed out
+    /// is **never memoized** — the memo holds only complete verdicts, so
+    /// a request with a tight deadline can never poison the memo for
+    /// requests with room to finish.
+    #[allow(clippy::too_many_arguments)]
+    pub fn validate_within(
+        &self,
+        chain: &[Certificate],
+        store: &RootStore,
+        hostname: &str,
+        now: SimTime,
+        crl: &RevocationList,
+        options: &ValidationOptions,
+        deadline: &Deadline,
+    ) -> Result<CachedVerdict, DeadlineExceeded> {
+        deadline.charge(COST_MEMO_PROBE)?;
+        let key = ValidationKey::new(chain, store, hostname, now, crl, options);
+        if let Some(verdict) = self.verdicts.read().expect("memo poisoned").get(&key) {
+            self.count(true);
+            return Ok(CachedVerdict {
+                verdict: verdict.clone(),
+                hit: true,
+            });
+        }
+        let verdict = validate_chain_within(chain, store, hostname, now, crl, options, deadline)
+            .inspect_err(|_| self.count(false))?;
+        // Another thread may have stored the same verdict meanwhile.
+        let mut verdicts = self.verdicts.write().expect("memo poisoned");
+        let hit = verdicts.insert(key, verdict.clone()).is_some();
+        self.count(hit);
+        Ok(CachedVerdict { verdict, hit })
+    }
+
+    /// Probes the memo without computing or counting anything:
+    /// `Some(verdict)` iff this exact validation has already completed
+    /// (`pinning-serve`'s brownout path, which counts its own traffic).
+    pub fn verdict(
+        &self,
+        chain: &[Certificate],
+        store: &RootStore,
+        hostname: &str,
+        now: SimTime,
+        crl: &RevocationList,
+        options: &ValidationOptions,
+    ) -> Option<Result<(), ValidationError>> {
+        let key = ValidationKey::new(chain, store, hostname, now, crl, options);
+        let verdicts = self.verdicts.read().expect("memo poisoned");
+        verdicts.get(&key).cloned()
+    }
+
+    /// Empties the memo (its counts keep running).
+    pub fn clear(&self) {
+        self.verdicts.write().expect("memo poisoned").clear();
+    }
+
+    /// This memo's hits and misses since it was created.
+    pub fn stats(&self) -> CacheStat {
+        self.counts.snapshot()
+    }
+}
+
+/// A verdict from [`ValidationMemo::validate_within`], with whether the
+/// memo already held it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedVerdict {
     /// The validation verdict, identical to [`validate_chain`]'s.
     pub verdict: Result<(), ValidationError>,
-    /// `true` iff the verdict was served from the memo; always `false`
-    /// with caching disabled.
+    /// `true` iff the memo held this verdict by the time the call had it
+    /// (possibly stored by another thread meanwhile).
     pub hit: bool,
 }
 
-/// Memoized [`validate_chain`]: identical semantics, but repeated
-/// validations of the same (chain, root store, hostname, time, options,
-/// leaf-revocation state) skip the signature walk entirely.
-///
-/// This is the hot path of the study — every simulated handshake and every
-/// PKI classification validates a chain, and the same server chains recur
-/// across thousands of apps. With caching disabled (see
-/// [`crate::cache::set_caching_enabled`]) the call degrades to a plain
-/// [`validate_chain`].
-pub fn validate_chain_cached(
-    chain: &[Certificate],
-    store: &RootStore,
-    hostname: &str,
-    now: SimTime,
-    crl: &RevocationList,
-    options: &ValidationOptions,
-) -> Result<(), ValidationError> {
-    validate_chain_cached_within(
-        chain,
-        store,
-        hostname,
-        now,
-        crl,
-        options,
-        &Deadline::unlimited(),
-    )
-    .expect("unlimited deadline cannot expire")
-    .verdict
-}
-
-/// [`validate_chain_cached`] under a work-budget deadline, reporting
-/// whether the verdict came from the memo.
-///
-/// Memo hits cost only [`COST_MEMO_PROBE`]; misses pay the probe plus the
-/// full [`validate_chain_within`] walk. A verdict that timed out is
-/// **never memoized** — the memo holds only complete verdicts, so a
-/// request with a tight deadline can never poison the cache for requests
-/// with room to finish.
+/// Validates through `memo` if the caller has one, else with plain
+/// [`validate_chain_within`] (identical verdicts, each one a miss).
 #[allow(clippy::too_many_arguments)]
-pub fn validate_chain_cached_within(
+pub fn validate_with_within(
+    memo: Option<&ValidationMemo>,
     chain: &[Certificate],
     store: &RootStore,
     hostname: &str,
@@ -410,65 +489,49 @@ pub fn validate_chain_cached_within(
     options: &ValidationOptions,
     deadline: &Deadline,
 ) -> Result<CachedVerdict, DeadlineExceeded> {
-    if !cache::caching_enabled() {
-        let verdict = validate_chain_within(chain, store, hostname, now, crl, options, deadline)?;
-        return Ok(CachedVerdict {
-            verdict,
-            hit: false,
-        });
+    match memo {
+        Some(memo) => memo.validate_within(chain, store, hostname, now, crl, options, deadline),
+        None => validate_chain_within(chain, store, hostname, now, crl, options, deadline).map(
+            |verdict| CachedVerdict {
+                verdict,
+                hit: false,
+            },
+        ),
     }
-    deadline.charge(COST_MEMO_PROBE)?;
-    let key = ValidationKey::new(chain, store, hostname, now, crl, options);
-    if let Some(verdict) = validation_memo().read().expect("memo poisoned").get(&key) {
-        cache::CHAIN_VALIDATION.hit();
-        return Ok(CachedVerdict {
-            verdict: verdict.clone(),
-            hit: true,
-        });
-    }
-    cache::CHAIN_VALIDATION.miss();
-    let verdict = validate_chain_within(chain, store, hostname, now, crl, options, deadline)?;
-    validation_memo()
-        .write()
-        .expect("memo poisoned")
-        .insert(key, verdict.clone());
-    Ok(CachedVerdict {
-        verdict,
-        hit: false,
-    })
 }
 
-/// Probes the validation memo without computing anything: `Some(verdict)`
-/// iff caching is enabled and this exact validation has already completed.
-///
-/// This is the brownout path of `pinning-serve`: a degraded service
-/// answers from the memo alone and sheds what it has never validated. The
-/// probe deliberately does **not** touch the global hit/miss counters —
-/// degraded serving is accounted by the service's own counters, not the
-/// study's cache statistics.
-pub fn cached_chain_verdict(
+/// [`validate_with_within`] without a deadline.
+pub fn validate_with(
+    memo: Option<&ValidationMemo>,
     chain: &[Certificate],
     store: &RootStore,
     hostname: &str,
     now: SimTime,
     crl: &RevocationList,
     options: &ValidationOptions,
-) -> Option<Result<(), ValidationError>> {
-    if !cache::caching_enabled() {
-        return None;
-    }
-    let key = ValidationKey::new(chain, store, hostname, now, crl, options);
-    validation_memo()
-        .read()
-        .expect("memo poisoned")
-        .get(&key)
-        .cloned()
+) -> Result<(), ValidationError> {
+    let unlimited = Deadline::unlimited();
+    validate_with_within(memo, chain, store, hostname, now, crl, options, &unlimited)
+        .expect("unlimited deadline cannot expire")
+        .verdict
 }
 
-/// Empties the chain-validation memo (benchmarks use this so cached runs
+/// [`ValidationMemo::validate`] on the process-default memo.
+pub fn validate_chain_cached(
+    chain: &[Certificate],
+    store: &RootStore,
+    hostname: &str,
+    now: SimTime,
+    crl: &RevocationList,
+    options: &ValidationOptions,
+) -> Result<(), ValidationError> {
+    ValidationMemo::process_default().validate(chain, store, hostname, now, crl, options)
+}
+
+/// Empties the process-default memo (benchmarks use this so runs on it
 /// start cold and measure real, reproducible hit patterns).
 pub fn clear_validation_cache() {
-    validation_memo().write().expect("memo poisoned").clear();
+    ValidationMemo::process_default().clear();
 }
 
 #[cfg(test)]
@@ -778,14 +841,6 @@ mod tests {
         );
     }
 
-    /// Serializes the tests that clear the process-global memo or read
-    /// entries back from it (tests share one process).
-    static MEMO_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn memo_lock() -> std::sync::MutexGuard<'static, ()> {
-        MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// One full set of validation inputs.
     struct Case<'a> {
         label: &'static str,
@@ -800,8 +855,7 @@ mod tests {
     #[test]
     fn cached_validation_matches_uncached_across_scenarios() {
         let f = fixture();
-        let _guard = memo_lock();
-        clear_validation_cache();
+        let memo = ValidationMemo::default();
 
         // Every case below differs from `base` in exactly one key field.
         let base = || Case {
@@ -906,16 +960,17 @@ mod tests {
             // First cached call computes, second must serve the memo —
             // both byte-identical to the plain validator.
             for hit in [false, true] {
-                let cached = validate_chain_cached_within(
-                    &c.chain,
-                    c.store,
-                    c.host,
-                    c.now,
-                    &c.crl,
-                    &c.options,
-                    &Deadline::unlimited(),
-                )
-                .expect("unlimited deadline");
+                let cached = memo
+                    .validate_within(
+                        &c.chain,
+                        c.store,
+                        c.host,
+                        c.now,
+                        &c.crl,
+                        &c.options,
+                        &Deadline::unlimited(),
+                    )
+                    .expect("unlimited deadline");
                 assert_eq!(
                     cached,
                     CachedVerdict {
@@ -931,7 +986,7 @@ mod tests {
         for c in &cases {
             let plain = validate_chain(&c.chain, c.store, c.host, c.now, &c.crl, &c.options);
             assert_eq!(
-                cached_chain_verdict(&c.chain, c.store, c.host, c.now, &c.crl, &c.options),
+                memo.verdict(&c.chain, c.store, c.host, c.now, &c.crl, &c.options),
                 Some(plain),
                 "{}",
                 c.label
@@ -1181,28 +1236,24 @@ mod tests {
     #[test]
     fn timed_out_validation_is_never_memoized() {
         let f = fixture();
-        // Unique hostname avoids cross-test memo interference (the memo is
-        // process-global and tests share one process).
+        let memo = ValidationMemo::default();
         let host = "v9.api.shop.com";
         let chain = &f.chain;
-        let _guard = memo_lock();
-        clear_validation_cache();
         let crl = RevocationList::empty();
         let opts = ValidationOptions::default();
         let tight = Deadline::with_budget(COST_MEMO_PROBE + COST_CHAIN_SETUP);
-        let out =
-            validate_chain_cached_within(chain, &f.store, host, SimTime(100), &crl, &opts, &tight);
+        let out = memo.validate_within(chain, &f.store, host, SimTime(100), &crl, &opts, &tight);
         assert_eq!(out, Err(DeadlineExceeded));
         // The timeout must not have poisoned the memo: no cached verdict.
         assert_eq!(
-            cached_chain_verdict(chain, &f.store, host, SimTime(100), &crl, &opts),
+            memo.verdict(chain, &f.store, host, SimTime(100), &crl, &opts),
             None
         );
         // A request with room to finish computes and memoizes the verdict.
         let roomy = Deadline::with_budget(10_000);
-        let out =
-            validate_chain_cached_within(chain, &f.store, host, SimTime(100), &crl, &opts, &roomy)
-                .expect("roomy deadline");
+        let out = memo
+            .validate_within(chain, &f.store, host, SimTime(100), &crl, &opts, &roomy)
+            .expect("roomy deadline");
         assert_eq!(
             out,
             CachedVerdict {
@@ -1211,9 +1262,69 @@ mod tests {
             }
         );
         assert_eq!(
-            cached_chain_verdict(chain, &f.store, host, SimTime(100), &crl, &opts),
+            memo.verdict(chain, &f.store, host, SimTime(100), &crl, &opts),
             Some(Ok(()))
         );
+        // The timeout counted a miss; the memo counts only its own traffic.
+        assert_eq!((memo.stats().hits, memo.stats().misses), (0, 2));
+    }
+
+    #[test]
+    fn each_memo_counts_only_its_own_validations() {
+        let f = fixture();
+        let (crl, opts) = (RevocationList::empty(), ValidationOptions::default());
+        let (a, b) = (ValidationMemo::default(), ValidationMemo::default());
+        let total_before = cache::CHAIN_VALIDATION.snapshot();
+        for memo in [&a, &a, &b] {
+            memo.validate(
+                &f.chain,
+                &f.store,
+                "pay.shop.com",
+                SimTime(100),
+                &crl,
+                &opts,
+            )
+            .unwrap();
+        }
+        assert_eq!((a.stats().hits, a.stats().misses), (1, 1));
+        assert_eq!((b.stats().hits, b.stats().misses), (0, 1));
+        // Both also add into the process total (other tests may add too).
+        let total = cache::CHAIN_VALIDATION
+            .snapshot()
+            .delta_since(&total_before);
+        assert!(total.hits >= 1 && total.misses >= 2);
+        a.clear();
+        assert_eq!(
+            a.verdict(
+                &f.chain,
+                &f.store,
+                "pay.shop.com",
+                SimTime(100),
+                &crl,
+                &opts
+            ),
+            None
+        );
+    }
+
+    #[test]
+    fn racing_threads_count_one_miss_per_stored_verdict() {
+        let f = fixture();
+        let (crl, opts) = (RevocationList::empty(), ValidationOptions::default());
+        let hosts = ["pay.shop.com", "v1.api.shop.com", "evil.com"];
+        let memo = ValidationMemo::default();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for host in hosts {
+                        let _ = memo.validate(&f.chain, &f.store, host, SimTime(100), &crl, &opts);
+                    }
+                });
+            }
+        });
+        assert_eq!((memo.stats().hits, memo.stats().misses), (9, 3));
     }
 
     #[test]

@@ -34,8 +34,7 @@ use pinning_ctlog::{verify_inclusion, LogSet, PinResolver};
 use pinning_pki::store::RootStore;
 use pinning_pki::time::SimTime;
 use pinning_pki::validate::{
-    cached_chain_verdict, validate_chain_cached_within, CachedVerdict, RevocationList,
-    ValidationOptions,
+    validate_with_within, CachedVerdict, RevocationList, ValidationMemo, ValidationOptions,
 };
 use pinning_pki::Certificate;
 use pinning_resilience::{Admission, BreakerSet, Deadline};
@@ -73,6 +72,7 @@ pub struct PinService<'a> {
     config: ServeConfig,
     backend: Backend<'a>,
     resolver: PinResolver<'a>,
+    memo: Option<&'a ValidationMemo>,
     breakers: BreakerSet<BackendFault>,
     queue: VecDeque<Queued>,
     workers_free_at: Vec<u64>,
@@ -86,7 +86,7 @@ pub struct PinService<'a> {
 
 impl<'a> PinService<'a> {
     /// A fresh service over `backend` (breaker tuning taken from the
-    /// config).
+    /// config), validating through the process-default memo.
     pub fn new(config: ServeConfig, backend: Backend<'a>) -> Self {
         let workers = config.workers.max(1);
         let resolver = PinResolver::new(backend.logs);
@@ -95,6 +95,7 @@ impl<'a> PinService<'a> {
             config,
             backend,
             resolver,
+            memo: Some(ValidationMemo::process_default()),
             breakers,
             queue: VecDeque::new(),
             workers_free_at: vec![0; workers],
@@ -105,6 +106,13 @@ impl<'a> PinService<'a> {
             cache_misses: 0,
             backend_faults: 0,
         }
+    }
+
+    /// Validates through `memo` instead (`None` = no memo: every chain is
+    /// validated from scratch and brownout sheds every chain request).
+    pub fn with_memo(mut self, memo: Option<&'a ValidationMemo>) -> Self {
+        self.memo = memo;
+        self
     }
 
     /// Processes an arrival trace to completion and returns one response
@@ -223,14 +231,11 @@ impl<'a> PinService<'a> {
                         Err(e) => return Outcome::Degraded(Payload::Undecodable(e)),
                     }
                 }
-                match cached_chain_verdict(
-                    &chain,
-                    self.backend.roots,
-                    hostname,
-                    self.backend.now,
-                    &self.backend.crl,
-                    &self.backend.options,
-                ) {
+                let b = &self.backend;
+                let cached = self.memo.and_then(|memo| {
+                    memo.verdict(&chain, b.roots, hostname, b.now, &b.crl, &b.options)
+                });
+                match cached {
                     Some(verdict) => Outcome::Degraded(Payload::ChainVerdict(verdict)),
                     None => Outcome::Shed(ShedReason::DegradedCacheMiss),
                 }
@@ -339,14 +344,10 @@ impl<'a> PinService<'a> {
                 }
                 // The service counts its own hits and misses from the
                 // memo's answer.
-                match validate_chain_cached_within(
-                    &chain,
-                    self.backend.roots,
-                    hostname,
-                    self.backend.now,
-                    &self.backend.crl,
-                    &self.backend.options,
-                    deadline,
+                let b = &self.backend;
+                let (roots, now, crl, options) = (b.roots, b.now, &b.crl, &b.options);
+                match validate_with_within(
+                    self.memo, &chain, roots, hostname, now, crl, options, deadline,
                 ) {
                     Ok(CachedVerdict { verdict, hit }) => {
                         if hit {
@@ -425,9 +426,7 @@ mod tests {
 
     /// A tiny PKI + CT world for serving: a trusted chain for
     /// `pay.shop.com`, an untrusted look-alike for `cold.shop.com`, and a
-    /// populated log set. Seeds MUST be unique per test: the validation
-    /// memo is process-global and tests share one process, so distinct
-    /// fixtures must produce distinct memo keys.
+    /// populated log set.
     struct Fixture {
         store: RootStore,
         chain: Vec<Certificate>,
@@ -506,6 +505,15 @@ mod tests {
         }
     }
 
+    /// A service over `f` validating through the test's own `memo`.
+    fn service<'a>(
+        config: ServeConfig,
+        f: &'a Fixture,
+        memo: &'a ValidationMemo,
+    ) -> PinService<'a> {
+        PinService::new(config, backend(f)).with_memo(Some(memo))
+    }
+
     fn validate_request(id: u64, arrival: u64, chain: &[Certificate], host: &str) -> ServeRequest {
         ServeRequest {
             id,
@@ -535,7 +543,8 @@ mod tests {
     #[test]
     fn fresh_verdicts_match_offline_library() {
         let f = fixture(0x5e41);
-        let mut svc = PinService::new(ServeConfig::default(), backend(&f));
+        let memo = ValidationMemo::default();
+        let mut svc = service(ServeConfig::default(), &f, &memo);
         // Well-spaced arrivals: no overload, everything served fresh.
         let reqs: Vec<ServeRequest> = (0..4)
             .map(|i| validate_request(i, i * 10_000, &f.chain, "pay.shop.com"))
@@ -565,6 +574,7 @@ mod tests {
             COST_CHAIN_SETUP, COST_MEMO_PROBE, COST_PER_CERT_OVERHEAD, COST_SIGNATURE_VERIFY,
         };
         let f = fixture(0x5e42);
+        let memo = ValidationMemo::default();
         // Budget lands mid-walk: decode + memo probe + setup + overhead +
         // the FIRST signature verify fit, the second does not.
         let to_first_sig = COST_DECODE_PER_CERT * 3
@@ -576,7 +586,7 @@ mod tests {
             deadline_validate: to_first_sig + COST_SIGNATURE_VERIFY / 2,
             ..ServeConfig::default()
         };
-        let mut svc = PinService::new(config, backend(&f));
+        let mut svc = service(config, &f, &memo);
         let responses = svc.run(&[validate_request(0, 0, &f.chain, "pay.shop.com")]);
         assert_eq!(
             responses[0].outcome,
@@ -590,7 +600,7 @@ mod tests {
         );
         // And the abandoned walk must not have poisoned the memo.
         assert_eq!(
-            cached_chain_verdict(
+            memo.verdict(
                 &f.chain,
                 &f.store,
                 "pay.shop.com",
@@ -606,6 +616,7 @@ mod tests {
     #[test]
     fn queue_bound_holds_and_overflow_sheds() {
         let f = fixture(0x5e43);
+        let memo = ValidationMemo::default();
         let config = ServeConfig {
             workers: 1,
             queue_capacity: 4,
@@ -613,7 +624,7 @@ mod tests {
             brownout_low: 50,
             ..ServeConfig::default()
         };
-        let mut svc = PinService::new(config, backend(&f));
+        let mut svc = service(config, &f, &memo);
         // 30 simultaneous arrivals against one worker.
         let reqs: Vec<ServeRequest> = (0..30)
             .map(|i| validate_request(i, 0, &f.chain, "pay.shop.com"))
@@ -632,6 +643,7 @@ mod tests {
     #[test]
     fn brownout_serves_cached_answers_and_sheds_cold_ones() {
         let f = fixture(0x5e44);
+        let memo = ValidationMemo::default();
         let config = ServeConfig {
             workers: 1,
             queue_capacity: 10,
@@ -639,7 +651,7 @@ mod tests {
             brownout_low: 2,
             ..ServeConfig::default()
         };
-        let mut svc = PinService::new(config, backend(&f));
+        let mut svc = service(config, &f, &memo);
         let mut reqs = Vec::new();
         // Prime the validation memo with the warm chain, unhurried.
         reqs.push(validate_request(0, 0, &f.chain, "pay.shop.com"));
@@ -678,12 +690,13 @@ mod tests {
     #[test]
     fn breaker_opens_on_persistent_backend_faults_and_sheds_at_admission() {
         let f = fixture(0x5e45);
+        let memo = ValidationMemo::default();
         let digest = f.chain[0].spki_sha256().to_vec();
         let config = ServeConfig {
             backend_flakiness: 1.0, // the log backend is down for the run
             ..ServeConfig::default()
         };
-        let mut svc = PinService::new(config, backend(&f));
+        let mut svc = service(config, &f, &memo);
         let reqs: Vec<ServeRequest> = (0..8)
             .map(|i| ServeRequest {
                 id: i,
@@ -711,6 +724,7 @@ mod tests {
     #[test]
     fn same_seed_runs_are_identical_once_warm() {
         let f = fixture(0x5e46);
+        let memo = ValidationMemo::default();
         let digest = f.chain[0].spki_sha256().to_vec();
         let mut reqs = Vec::new();
         let mut id = 0u64;
@@ -750,13 +764,13 @@ mod tests {
             seed: 0xD15EA5E,
             ..ServeConfig::default()
         };
-        // Warm-up run: settles the process-global validation memo so the
-        // two compared runs see identical cache state.
-        let mut warmup = PinService::new(config.clone(), backend(&f));
+        // Warm-up run: settles the validation memo so the two compared
+        // runs see identical cache state.
+        let mut warmup = service(config.clone(), &f, &memo);
         let _ = warmup.run(&reqs);
 
         let run = || {
-            let mut svc = PinService::new(config.clone(), backend(&f));
+            let mut svc = service(config.clone(), &f, &memo);
             let responses = svc.run(&reqs);
             let summary = svc.summary(&responses);
             (responses, summary)
@@ -772,7 +786,8 @@ mod tests {
     #[test]
     fn hostile_bytes_get_structured_answers_not_panics() {
         let f = fixture(0x5e47);
-        let mut svc = PinService::new(ServeConfig::default(), backend(&f));
+        let memo = ValidationMemo::default();
+        let mut svc = service(ServeConfig::default(), &f, &memo);
         let mut garbage = f.chain[0].to_der();
         garbage.truncate(garbage.len() / 2);
         let reqs = vec![
@@ -816,8 +831,9 @@ mod tests {
     #[test]
     fn proof_endpoint_generates_verified_proofs() {
         let f = fixture(0x5e48);
+        let memo = ValidationMemo::default();
         let digest = f.chain[0].spki_sha256().to_vec();
-        let mut svc = PinService::new(ServeConfig::default(), backend(&f));
+        let mut svc = service(ServeConfig::default(), &f, &memo);
         let responses = svc.run(&[ServeRequest {
             id: 0,
             arrival: 0,

@@ -12,7 +12,7 @@ use crate::version::{negotiate, TlsVersion};
 use pinning_pki::chain::CertificateChain;
 use pinning_pki::store::RootStore;
 use pinning_pki::time::SimTime;
-use pinning_pki::validate::RevocationList;
+use pinning_pki::validate::{RevocationList, ValidationMemo};
 use pinning_pki::ValidationError;
 
 /// Client-side connection configuration.
@@ -134,7 +134,8 @@ pub struct HandshakeOutcome {
 }
 
 /// Drives a full handshake between `client` and `server` for `hostname`,
-/// evaluating the client's certificate policy against `device_store`.
+/// evaluating the client's certificate policy against `device_store`
+/// (through the device's validation `memo`, if it has one).
 ///
 /// Produces the same wire observables the paper's capture pipeline works
 /// from — including TLS 1.3's disguised records and per-library failure
@@ -146,6 +147,7 @@ pub fn establish(
     now: SimTime,
     device_store: &RootStore,
     crl: &RevocationList,
+    memo: Option<&ValidationMemo>,
 ) -> HandshakeOutcome {
     let mut t = ConnectionTranscript::new();
     let hello = ClientHello {
@@ -225,9 +227,10 @@ pub fn establish(
     }
 
     // Client evaluates the chain.
-    let decision = client
-        .policy
-        .evaluate(server.chain.certs(), hostname, now, device_store, crl);
+    let decision =
+        client
+            .policy
+            .evaluate(server.chain.certs(), hostname, now, device_store, crl, memo);
 
     let pin_phase = client.library.pin_check_phase();
     let fail =
@@ -398,6 +401,7 @@ mod tests {
             f.now,
             &f.store,
             &RevocationList::empty(),
+            None,
         )
     }
 
@@ -427,6 +431,7 @@ mod tests {
             f.now,
             &f.store,
             &RevocationList::empty(),
+            None,
         );
         assert_eq!(out.result.unwrap().version, TlsVersion::V1_2);
         // Under 1.2 nothing is disguised: no app-data-looking client records yet.
@@ -518,6 +523,7 @@ mod tests {
             f.now,
             &bare,
             &RevocationList::empty(),
+            None,
         );
         assert!(matches!(out.result, Err(HandshakeError::CertRejected(_))));
     }

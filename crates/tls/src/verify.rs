@@ -8,7 +8,7 @@
 use pinning_pki::pin::PinSet;
 use pinning_pki::store::RootStore;
 use pinning_pki::time::SimTime;
-use pinning_pki::validate::{validate_chain_cached, RevocationList, ValidationOptions};
+use pinning_pki::validate::{validate_with, RevocationList, ValidationMemo, ValidationOptions};
 use pinning_pki::Certificate;
 use pinning_pki::ValidationError;
 
@@ -73,6 +73,8 @@ impl CertPolicy {
     /// then pin matching. A policy with pins but no matching certificate
     /// rejects even if the chain is otherwise perfectly valid — that is the
     /// defining behaviour of pinning.
+    /// Standard validation goes through `memo` if the caller has one (the
+    /// verdict is identical without it).
     pub fn evaluate(
         &self,
         chain: &[Certificate],
@@ -80,13 +82,11 @@ impl CertPolicy {
         now: SimTime,
         store: &RootStore,
         crl: &RevocationList,
+        memo: Option<&ValidationMemo>,
     ) -> VerifyDecision {
         if self.system_validation {
-            // Handshakes re-present the same few chains thousands of times
-            // per study run; the memoized verdict is byte-identical.
-            if let Err(e) =
-                validate_chain_cached(chain, store, hostname, now, crl, &self.validation_options)
-            {
+            let options = &self.validation_options;
+            if let Err(e) = validate_with(memo, chain, store, hostname, now, crl, options) {
                 return VerifyDecision::RejectSystem(e);
             }
         }
@@ -168,7 +168,8 @@ mod tests {
                 "bank.com",
                 w.now,
                 &w.store,
-                &RevocationList::empty()
+                &RevocationList::empty(),
+                None,
             )
             .is_accept());
     }
@@ -185,7 +186,8 @@ mod tests {
                 "bank.com",
                 w.now,
                 &w.store,
-                &RevocationList::empty()
+                &RevocationList::empty(),
+                None,
             )
             .is_accept());
     }
@@ -201,7 +203,8 @@ mod tests {
                 "bank.com",
                 w.now,
                 &w.store,
-                &RevocationList::empty()
+                &RevocationList::empty(),
+                None,
             ),
             VerifyDecision::RejectPin
         );
@@ -212,7 +215,8 @@ mod tests {
                 "bank.com",
                 w.now,
                 &w.store,
-                &RevocationList::empty()
+                &RevocationList::empty(),
+                None,
             )
             .is_accept());
     }
@@ -229,6 +233,7 @@ mod tests {
             w.now,
             &w.store,
             &RevocationList::empty(),
+            None,
         );
         assert!(matches!(
             d,
@@ -248,6 +253,7 @@ mod tests {
             w.now,
             &bare,
             &RevocationList::empty(),
+            None,
         );
         assert!(matches!(
             d,

@@ -72,6 +72,7 @@ fn handshake_is_deterministic() {
             SimTime(10),
             &e.store,
             &RevocationList::empty(),
+            None,
         );
         let b = establish(
             &client,
@@ -80,6 +81,7 @@ fn handshake_is_deterministic() {
             SimTime(10),
             &e.store,
             &RevocationList::empty(),
+            None,
         );
         assert_eq!(a.transcript, b.transcript);
         assert_eq!(a.result.is_ok(), b.result.is_ok());
@@ -109,6 +111,7 @@ fn negotiated_version_is_offered_by_both() {
             SimTime(10),
             &e.store,
             &RevocationList::empty(),
+            None,
         );
         let session = out.result.unwrap();
         assert!(client.offered_versions.contains(&session.version));
@@ -147,6 +150,7 @@ fn pin_rejection_independent_of_library_outcome() {
             SimTime(10),
             &e.store,
             &RevocationList::empty(),
+            None,
         );
         assert!(out.result.is_err());
         // The transcript must show a client-side teardown of some kind.
@@ -179,6 +183,7 @@ fn weak_cipher_flag_matches_offer() {
             SimTime(10),
             &e.store,
             &RevocationList::empty(),
+            None,
         );
         let advertised_weak = out.transcript.offered_ciphers.iter().any(|c| c.is_weak());
         assert_eq!(advertised_weak, legacy);

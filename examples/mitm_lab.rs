@@ -63,6 +63,7 @@ fn main() {
                 now,
                 &device_store,
                 &crl,
+                None,
             );
             match out.result {
                 Ok(session) => {

@@ -373,9 +373,7 @@ fn adversarial_cohort_survives_kill_and_resume_byte_identically() {
 // Overload: the pin-validation service under a hostile burst.
 
 use pinning_bench::load::{generate_load, LoadConfig};
-use pinning_pki::validate::{
-    validate_chain, validate_chain_cached, RevocationList, ValidationOptions,
-};
+use pinning_pki::validate::{validate_chain, RevocationList, ValidationMemo, ValidationOptions};
 use pinning_pki::Certificate;
 use pinning_serve::{
     Backend, Outcome, Payload, PinService, RequestBody, ServeConfig, ServeSummary, TimeoutStage,
@@ -395,8 +393,9 @@ fn run_service(
     config: &ServeConfig,
     world: &World,
     requests: &[pinning_serve::ServeRequest],
+    memo: Option<&ValidationMemo>,
 ) -> (Vec<pinning_serve::Response>, ServeSummary) {
-    let mut service = PinService::new(config.clone(), serve_backend(world));
+    let mut service = PinService::new(config.clone(), serve_backend(world)).with_memo(memo);
     let responses = service.run(requests);
     let summary = service.summary(&responses);
     (responses, summary)
@@ -421,11 +420,12 @@ fn overload_sheds_and_degrades_instead_of_queueing_unboundedly() {
         ..ServeConfig::default()
     };
 
-    // Warm the process-global validation memo to a complete state over
+    // Warm a validation memo of this test's own to a complete state over
     // this trace first: the serving path then cannot insert anything new,
-    // so two same-seed runs must be byte-identical. (Concurrent tests in
-    // this binary touch only their own worlds' chains — different memo
-    // keys — and nothing in this binary clears the memo.)
+    // so two same-seed runs must be byte-identical. No other test can
+    // clear, bypass or add to a memo it does not hold, so this holds
+    // however the test harness interleaves the tests in this binary.
+    let memo = ValidationMemo::default();
     let crl = RevocationList::empty();
     let options = ValidationOptions::default();
     for req in &load.requests {
@@ -441,7 +441,7 @@ fn overload_sheds_and_degrades_instead_of_queueing_unboundedly() {
             .map(|der| Certificate::from_der(der))
             .collect::<Result<Vec<Certificate>, _>>()
         {
-            let _ = validate_chain_cached(
+            let _ = memo.validate(
                 &chain,
                 &world.universe.aosp_oem,
                 hostname,
@@ -452,8 +452,8 @@ fn overload_sheds_and_degrades_instead_of_queueing_unboundedly() {
         }
     }
 
-    let (responses, summary) = run_service(&config, &world, &load.requests);
-    let (responses_b, summary_b) = run_service(&config, &world, &load.requests);
+    let (responses, summary) = run_service(&config, &world, &load.requests, Some(&memo));
+    let (responses_b, summary_b) = run_service(&config, &world, &load.requests, Some(&memo));
     assert_eq!(responses, responses_b, "same-seed runs must be identical");
     assert_eq!(summary, summary_b);
 
@@ -513,7 +513,7 @@ fn overload_sheds_and_degrades_instead_of_queueing_unboundedly() {
     assert!(checked > 0, "overload run must still serve fresh verdicts");
 }
 
-/// Deadline propagation under overload: with caching disabled (every
+/// Deadline propagation under overload: with no validation memo (every
 /// validation pays the full verification walk) and a budget smaller than
 /// that walk, deadlines expire mid-chain-verification. The result must be
 /// a structured timeout at a named stage — never a partial verdict — and
@@ -522,7 +522,6 @@ fn overload_sheds_and_degrades_instead_of_queueing_unboundedly() {
 fn tight_deadlines_time_out_structurally_never_partially() {
     let world = World::generate(WorldConfig::tiny(0x7157));
     let load = generate_load(&world, &LoadConfig::overload_smoke(0x7157));
-    let _off = pinning_pki::cache::caching_disabled_scope();
     let config = ServeConfig {
         seed: 0x7157,
         workers: 2,
@@ -534,8 +533,8 @@ fn tight_deadlines_time_out_structurally_never_partially() {
         ..ServeConfig::default()
     };
 
-    let (responses, summary) = run_service(&config, &world, &load.requests);
-    let (responses_b, summary_b) = run_service(&config, &world, &load.requests);
+    let (responses, summary) = run_service(&config, &world, &load.requests, None);
+    let (responses_b, summary_b) = run_service(&config, &world, &load.requests, None);
     assert_eq!(responses, responses_b, "uncached runs must be identical");
     assert_eq!(summary, summary_b);
 

@@ -264,7 +264,7 @@ fn world_coverage_is_partial_and_spread_across_shards() {
 
 use app_tls_pinning::core::{Study, StudyConfig};
 use app_tls_pinning::crypto::{hex_encode, sha256};
-use app_tls_pinning::pki::validate::{validate_chain_cached, RevocationList, ValidationOptions};
+use app_tls_pinning::pki::validate::{RevocationList, ValidationMemo, ValidationOptions};
 use app_tls_pinning::pki::Certificate;
 use pinning_bench::load::{generate_load, LoadConfig};
 use pinning_serve::{Backend, Outcome, Payload, PinService, RequestBody, ServeConfig};
@@ -284,9 +284,10 @@ fn serve_responses_and_summary_hash_as_frozen() {
         ..ServeConfig::default()
     };
     let (crl, options) = (RevocationList::empty(), ValidationOptions::default());
-    // Complete the process-global validation memo over this trace first,
-    // so the run's memo hits (and the deadline charges they save) do not
-    // depend on what ran before it in this process.
+    // Complete a validation memo of this test's own over this trace
+    // first, so the run's memo hits (and the deadline charges they save)
+    // do not depend on what else runs in this process.
+    let memo = ValidationMemo::default();
     for req in &load.requests {
         let RequestBody::ValidateChain {
             hostname,
@@ -301,7 +302,7 @@ fn serve_responses_and_summary_hash_as_frozen() {
             .collect::<Result<Vec<Certificate>, _>>()
         {
             let store = &world.universe.aosp_oem;
-            let _ = validate_chain_cached(&chain, store, hostname, world.now, &crl, &options);
+            let _ = memo.validate(&chain, store, hostname, world.now, &crl, &options);
         }
     }
     let backend = Backend {
@@ -311,7 +312,7 @@ fn serve_responses_and_summary_hash_as_frozen() {
         options,
         now: world.now,
     };
-    let mut service = PinService::new(config, backend);
+    let mut service = PinService::new(config, backend).with_memo(Some(&memo));
     let responses = service.run(&load.requests);
     let summary = service.summary(&responses);
 

@@ -53,6 +53,7 @@ fn flow_of(lab: &Lab, client: &ClientConfig, mitm: bool, with_data: bool) -> Flo
         lab.universe.now(),
         &lab.device_store,
         &RevocationList::empty(),
+        None,
     );
     if let Ok(session) = out.result {
         if with_data {
@@ -217,6 +218,7 @@ fn rogue_oem_root_defeated_only_by_pinning() {
         universe.now(),
         &universe.aosp_oem,
         &RevocationList::empty(),
+        None,
     );
     assert!(
         out.result.is_ok(),
@@ -230,6 +232,7 @@ fn rogue_oem_root_defeated_only_by_pinning() {
         universe.now(),
         &universe.aosp_oem,
         &RevocationList::empty(),
+        None,
     );
     assert!(matches!(
         out.result,
@@ -254,6 +257,7 @@ fn revoked_leaf_rejected_even_when_pin_matches() {
         lab.universe.now(),
         &lab.device_store,
         &crl,
+        None,
     );
     assert!(
         out.result.is_err(),

@@ -2,72 +2,108 @@
 //!
 //! The derived-value caches (certificate artifacts, chain-validation memo,
 //! batched Merkle proofs) exist purely for speed; these tests pin down the
-//! contract that turning them off — or changing the thread count, which
-//! changes cache interleaving — never changes a study's results, on the
-//! monolithic study or on the incremental epoch engine.
+//! contract that running without a validation memo, with a memo another
+//! run already warmed, or at another thread count (which changes cache
+//! interleaving) never changes a study's results, on the monolithic study
+//! or on the incremental epoch engine.
 //!
-//! The kill-switch is process-global, so the tests here serialize around a
-//! single mutex instead of toggling it concurrently with each other.
+//! Each run owns its memo and reports that memo's traffic, so these tests
+//! share no state and run in parallel without a lock.
 
-use app_tls_pinning::core::{Study, StudyConfig};
+use app_tls_pinning::core::{Study, StudyConfig, StudyResults};
 use app_tls_pinning::epoch::{EpochConfig, Evolution};
-use app_tls_pinning::pki::cache::caching_disabled_scope;
-use std::sync::{Mutex, MutexGuard};
-
-/// Serializes every test that flips the global caching switch.
-fn switch_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn render(config: StudyConfig) -> String {
-    app_tls_pinning::pki::validate::clear_validation_cache();
-    Study::new(config).run().render_all()
-}
+use app_tls_pinning::pki::cache::CacheStat;
+use app_tls_pinning::pki::ValidationMemo;
+use std::sync::Arc;
 
 #[test]
 fn cached_and_uncached_studies_render_identically() {
-    let _serial = switch_lock();
-    let cached = render(StudyConfig::tiny(0xAB01));
-    let uncached = {
-        let _off = caching_disabled_scope();
-        render(StudyConfig::tiny(0xAB01))
-    };
+    let cached = Study::new(StudyConfig::tiny(0xAB01)).run().render_all();
+    let uncached = Study::new(StudyConfig::tiny(0xAB01))
+        .with_memo(None)
+        .run()
+        .render_all();
     assert_eq!(
         cached, uncached,
-        "derived-value caching changed a report byte"
+        "the validation memo changed a report byte"
     );
 }
 
 #[test]
 fn thread_count_does_not_change_results() {
-    let _serial = switch_lock();
     let mut single = StudyConfig::tiny(0xAB02);
     single.threads = 1;
     let mut pooled = StudyConfig::tiny(0xAB02);
     pooled.threads = 4;
     assert_eq!(
-        render(single),
-        render(pooled),
+        Study::new(single).run().render_all(),
+        Study::new(pooled).run().render_all(),
         "cache interleaving across worker threads changed a report byte"
     );
 }
 
+/// Two runs of `config` sharing one memo: the second starts with every
+/// verdict the first stored.
+fn twice_on_one_memo(config: StudyConfig) -> (StudyResults, StudyResults) {
+    let memo = Arc::new(ValidationMemo::default());
+    let run = || {
+        Study::new(config.clone())
+            .with_memo(Some(Arc::clone(&memo)))
+            .run()
+    };
+    (run(), run())
+}
+
 #[test]
 fn warm_global_caches_do_not_leak_into_results() {
-    let _serial = switch_lock();
-    // First run warms the process-global memos; the second run of the same
-    // configuration must render identically with everything already hot
-    // (no cache clearing in between).
-    let first = Study::new(StudyConfig::tiny(0xAB03)).run().render_all();
-    let second = Study::new(StudyConfig::tiny(0xAB03)).run().render_all();
-    assert_eq!(first, second);
+    // At the default two workers the MITM proxy's forged-leaf serials
+    // follow scheduling, so the warm memo is only partly hit: memo hits
+    // and fresh validations mix under concurrency, and the report must
+    // not show which is which.
+    let (first, second) = twice_on_one_memo(StudyConfig::tiny(0xAB03));
+    assert_eq!(first.render_all(), second.render_all());
+}
+
+#[test]
+fn a_warm_memo_serves_an_identical_single_worker_run_entirely() {
+    // One worker issues forged leaves in the same order in both runs, so
+    // the second run asks only for verdicts the first one stored.
+    let mut config = StudyConfig::tiny(0xAB03);
+    config.threads = 1;
+    let (first, second) = twice_on_one_memo(config);
+    assert_eq!(first.render_all(), second.render_all());
+    let warm = second.health.validation_memo.expect("the run had a memo");
+    assert!(
+        warm.hits > 0 && warm.misses == 0,
+        "second run must be served entirely by the warm memo: {warm:?}"
+    );
+}
+
+/// The run-health chain-validation counts of a tiny study.
+fn memo_counts(seed: u64) -> CacheStat {
+    Study::new(StudyConfig::tiny(seed))
+        .run()
+        .health
+        .validation_memo
+        .expect("the run had a memo")
+}
+
+#[test]
+fn concurrent_studies_count_only_their_own_validations() {
+    let (a, b) = (0xAB05, 0xAB06);
+    let alone = (memo_counts(a), memo_counts(b));
+    assert!(alone.0.total() > 0 && alone.1.total() > 0);
+    let together = std::thread::scope(|s| {
+        let run_a = s.spawn(|| memo_counts(a));
+        let run_b = s.spawn(|| memo_counts(b));
+        (run_a.join().unwrap(), run_b.join().unwrap())
+    });
+    assert_eq!(together, alone, "a concurrent run leaked into the counts");
+    assert_eq!(memo_counts(a), alone.0, "identical runs must count alike");
 }
 
 /// Every epoch's `full_report` of an incremental evolution.
-fn epoch_reports(config: EpochConfig) -> Vec<String> {
-    app_tls_pinning::pki::validate::clear_validation_cache();
-    let mut evolution = Evolution::new(config, true);
+fn epoch_reports(mut evolution: Evolution) -> Vec<String> {
     (0..evolution.epochs_total())
         .map(|_| {
             evolution.next_epoch().expect("epoch runs");
@@ -78,16 +114,13 @@ fn epoch_reports(config: EpochConfig) -> Vec<String> {
 
 #[test]
 fn cached_and_uncached_epochs_report_identically() {
-    let _serial = switch_lock();
     // The validation memo and the CT proof batches stay warm from one
     // epoch to the next here, which a single study never exercises.
-    let cached = epoch_reports(EpochConfig::tiny(0xAB04));
-    let uncached = {
-        let _off = caching_disabled_scope();
-        epoch_reports(EpochConfig::tiny(0xAB04))
-    };
+    let config = EpochConfig::tiny(0xAB04);
+    let cached = epoch_reports(Evolution::new(config.clone(), true));
+    let uncached = epoch_reports(Evolution::new(config, true).with_memo(None));
     assert_eq!(cached.len(), uncached.len());
     for (k, (c, u)) in cached.iter().zip(&uncached).enumerate() {
-        assert_eq!(c, u, "derived-value caching changed epoch {k}'s report");
+        assert_eq!(c, u, "the validation memo changed epoch {k}'s report");
     }
 }
