@@ -15,6 +15,15 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> unsafe fence (one #[allow(unsafe_code)] in the workspace, at the SHA-NI call; pinning-crypto denies unsafe code, every other crate forbids it)"
+allows=$(grep -rE '^[[:space:]]*#\[allow\(unsafe_code\)\]' crates src --include='*.rs' | wc -l)
+[ "$allows" -eq 1 ] || { echo "expected exactly one #[allow(unsafe_code)] under crates/ and src/, found $allows"; exit 1; }
+grep -qxF '#![deny(unsafe_code)]' crates/crypto/src/lib.rs || { echo "crates/crypto/src/lib.rs does not deny unsafe code"; exit 1; }
+for lib in src/lib.rs crates/*/src/lib.rs; do
+  [ "$lib" = crates/crypto/src/lib.rs ] && continue
+  grep -qxF '#![forbid(unsafe_code)]' "$lib" || { echo "$lib does not forbid unsafe code"; exit 1; }
+done
+
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 
@@ -23,6 +32,9 @@ python3 perfbench/run.py --self-test
 
 echo "==> cargo test (workspace)"
 cargo test -q --workspace --offline
+
+echo "==> portable SHA-256 kernel (pinning-crypto built for baseline x86-64, without SHA-NI: the software fallback keeps building and passing)"
+RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable cargo test -q --offline -p pinning-crypto
 
 echo "==> chaos suite (fault injection + degradation)"
 cargo test -q --offline --test chaos

@@ -4,9 +4,10 @@
 //! the chain-validation memo (`validate_with` a [`ValidationMemo`] against
 //! without one), batched Merkle proofs (an authenticator against the
 //! tree's own per-proof walk), and a full end-to-end study run without a
-//! validation memo and with one. Alongside: SHA-256 throughput and the
-//! per-table regeneration benches with mean/median/p95. The numbers go to
-//! `BENCH_pr4.json` at the workspace root.
+//! validation memo and with one. Alongside: SHA-256 throughput of the
+//! default and the portable kernels, and the per-table regeneration
+//! benches with mean/median/p95. The numbers go to `BENCH_pr4.json` at the
+//! workspace root.
 //!
 //! The end-to-end A/B is also a correctness gate: if the two study
 //! reports differ in a single byte, the bench exits non-zero (CI runs it
@@ -22,6 +23,7 @@ use pinning_bench::{
     bench_threads, bench_world_config, shared_results, time_bench_stats, BenchStats,
 };
 use pinning_core::{Study, StudyConfig};
+use pinning_crypto::sha256::portable;
 use pinning_crypto::sig::KeyPair;
 use pinning_crypto::{sha256, sha256_many, SplitMix64};
 use pinning_ctlog::merkle::MerkleTree;
@@ -155,7 +157,7 @@ fn micro_benches(smoke: bool) -> Vec<(String, AbPair)> {
     out
 }
 
-/// Plain (non-A/B) throughput benches for the SHA-256 fast paths.
+/// Plain (non-A/B) throughput benches for the SHA-256 kernels.
 fn hash_benches(smoke: bool) -> Vec<BenchStats> {
     let iters: u32 = if smoke { 5 } else { 50 };
     let big: Vec<u8> = (0..65_536u32).map(|i| (i % 251) as u8).collect();
@@ -174,19 +176,44 @@ fn hash_benches(smoke: bool) -> Vec<BenchStats> {
                 black_box(sha256(m));
             }
         }),
+        time_bench_stats("portable_sha256_64kib", iters, || {
+            black_box(portable::sha256(&big));
+        }),
+        time_bench_stats("portable_sha256_many_256x128", iters, || {
+            black_box(portable::sha256_many(many.iter().map(Vec::as_slice)));
+        }),
+        time_bench_stats("portable_sha256_seq_256x128", iters, || {
+            for m in &many {
+                black_box(portable::sha256(m));
+            }
+        }),
     ];
-    // The interleaved multi-buffer compressor must actually win: the
-    // 4-wide lockstep path has to beat hashing the same batch one message
-    // at a time by ≥1.5x (it runs four compression states per pass).
-    let many_ns = stats[1].median_ns;
-    let seq_ns = stats[2].median_ns;
+    // The interleaved multi-buffer compressor must actually win against
+    // the scalar software kernel it replaces on portable builds: the 4-wide
+    // lockstep path has to beat hashing the same batch one message at a
+    // time by ≥1.5x (it runs four compression states per pass).
+    let many_ns = stats[4].median_ns;
+    let seq_ns = stats[5].median_ns;
     let speedup = seq_ns / many_ns.max(1.0);
-    println!("sha256_many speedup over sequential: {speedup:.2}x");
+    println!("portable sha256_many speedup over sequential: {speedup:.2}x");
     assert!(
         speedup >= 1.5,
-        "sha256_many must beat sequential hashing by >=1.5x, got {speedup:.2}x \
-         ({seq_ns} ns sequential vs {many_ns} ns batched)"
+        "portable sha256_many must beat sequential portable hashing by >=1.5x, got \
+         {speedup:.2}x ({seq_ns} ns sequential vs {many_ns} ns batched)"
     );
+    // A SHA-NI build must earn its `unsafe` call: the hardware kernel has
+    // to beat the scalar software kernel by ≥3x on a long message.
+    if pinning_crypto::sha256::SHA_NI {
+        let ni_ns = stats[0].median_ns;
+        let soft_ns = stats[3].median_ns;
+        let speedup = soft_ns / ni_ns.max(1.0);
+        println!("SHA-NI sha256 speedup over portable: {speedup:.2}x");
+        assert!(
+            speedup >= 3.0,
+            "SHA-NI sha256 must beat portable sha256 by >=3x on 64 KiB, got \
+             {speedup:.2}x ({soft_ns} ns portable vs {ni_ns} ns SHA-NI)"
+        );
+    }
     stats
 }
 

@@ -6,7 +6,9 @@
 //!   base64-encoded (RFC 7469 style, as used by OkHttp's
 //!   `CertificatePinner`, Android NSC `<pin digest="SHA-256">`, and HPKP).
 //!   Implemented from scratch in [`mod@sha1`] and [`mod@sha256`] and tested against
-//!   the FIPS 180 vectors.
+//!   the FIPS 180 vectors. SHA-256 compresses blocks with the x86-64 SHA-NI
+//!   instructions on builds that enable them and with portable Rust
+//!   otherwise; both give the same digests (see [`mod@sha256`]).
 //! * **HMAC** — used by the simulated signature scheme ([`sig`]).
 //! * **base64 / hex** — pin encodings and certificate fingerprints
 //!   ([`base64`], [`hex`]).
@@ -21,7 +23,9 @@
 //! functions are real, but the signature scheme is intentionally forgeable
 //! inside the closed simulation.
 
-#![forbid(unsafe_code)]
+// One `unsafe` call exists: `sha256::compress1` entering the SHA-NI
+// kernel, allowed at that call site alone.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod base64;

@@ -1,9 +1,23 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch.
 //!
-//! Used for SPKI pins (`sha256/<base64>`), certificate fingerprints, and the
-//! simulated signature scheme. The implementation is a straightforward
-//! streaming Merkle–Damgård construction; it favours clarity over speed but
-//! still hashes the whole simulated ecosystem in well under a second.
+//! Used for SPKI pins (`sha256/<base64>`), certificate fingerprints, HMAC
+//! signatures, CT Merkle nodes and journal checksums. The hasher is a
+//! streaming Merkle–Damgård construction over one block function,
+//! `compress1`, which runs one of two kernels chosen when the crate is
+//! compiled:
+//!
+//! * **SHA-NI** (`ni::compress`): the x86-64 SHA extensions, used when the
+//!   build enables the `sha` and `sse4.1` target features (the workspace's
+//!   `.cargo/config.toml` builds with `target-cpu=native`). This is the
+//!   crate's only `unsafe` call; see `compress1`.
+//! * **Portable** (`compress_portable`): plain Rust for every other build.
+//!   [`sha256_many`] there runs four messages through an interleaved 4-lane
+//!   compressor instead.
+//!
+//! Both kernels compute the same function, so digests never depend on the
+//! build. The portable kernels stay reachable on every build through the
+//! hidden [`portable`] module, which the differential tests and the bench
+//! gates compare against.
 
 /// Streaming SHA-256 hasher.
 ///
@@ -61,6 +75,18 @@ impl Sha256 {
 
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, compress1);
+    }
+
+    /// Finishes the hash and returns the 32-byte digest.
+    pub fn finalize(self) -> [u8; 32] {
+        self.finish(compress1)
+    }
+
+    /// [`Sha256::update`] over an explicit block function, so the
+    /// [`portable`] reference shares the buffering with the default path.
+    #[inline(always)]
+    fn absorb(&mut self, data: &[u8], compress: fn(&mut [u32; 8], &[u8; 64])) {
         self.len = self.len.wrapping_add(data.len() as u64);
         let mut data = data;
         // Fill any partial block first.
@@ -72,7 +98,7 @@ impl Sha256 {
             data = &data[take..];
             if self.buf_len == 64 {
                 let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &block);
                 self.buf_len = 0;
             }
         }
@@ -80,7 +106,10 @@ impl Sha256 {
         // partial head/tail ever touches `buf`.
         let mut blocks = data.chunks_exact(64);
         for block in &mut blocks {
-            self.compress(block.try_into().expect("chunks_exact yields 64 bytes"));
+            compress(
+                &mut self.state,
+                block.try_into().expect("chunks_exact yields 64 bytes"),
+            );
         }
         data = blocks.remainder();
         // Stash the tail.
@@ -90,25 +119,65 @@ impl Sha256 {
         }
     }
 
-    /// Finishes the hash and returns the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    /// [`Sha256::finalize`] over an explicit block function.
+    #[inline(always)]
+    fn finish(mut self, compress: fn(&mut [u32; 8], &[u8; 64])) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
         crate::md::pad_final(self.buf, self.buf_len, bit_len, |block| {
-            self.compress(block)
+            compress(&mut self.state, block)
         });
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        compress1(&mut self.state, block);
+        digest_bytes(&self.state)
     }
 }
 
+/// The big-endian serialization of a final hash state.
+fn digest_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// Whether this build compresses blocks with the SHA-NI kernel: set at
+/// compile time by the `sha` and `sse4.1` target features on x86-64.
+pub const SHA_NI: bool = cfg!(all(
+    target_arch = "x86_64",
+    target_feature = "sha",
+    target_feature = "sse4.1"
+));
+
+/// The block function under every SHA-256 digest in the workspace.
+#[inline(always)]
 fn compress1(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "sha",
+        target_feature = "sse4.1"
+    ))]
+    {
+        // SAFETY: `ni::compress` needs the `sha`, `sse2`, `ssse3` and
+        // `sse4.1` target features. This arm is compiled only when the
+        // build itself enables `sha` and `sse4.1` (`sse4.1` implies `ssse3`
+        // and `sse2`), so every CPU the binary may run on has them; a build
+        // without them compiles the portable arm instead. The kernel takes
+        // references and uses no pointer intrinsics, so there is nothing
+        // else to uphold.
+        #[allow(unsafe_code)]
+        unsafe {
+            ni::compress(state, block)
+        }
+    }
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "sha",
+        target_feature = "sse4.1"
+    )))]
+    compress_portable(state, block)
+}
+
+/// The scalar software kernel: FIPS 180-4's message schedule and 64 rounds.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for i in 0..16 {
         w[i] = u32::from_be_bytes([
@@ -157,6 +226,97 @@ fn compress1(state: &mut [u32; 8], block: &[u8; 64]) {
     state[5] = state[5].wrapping_add(f);
     state[6] = state[6].wrapping_add(g);
     state[7] = state[7].wrapping_add(h);
+}
+
+/// The SHA-NI block kernel.
+///
+/// The SHA extensions keep the eight working variables in two vectors,
+/// `abef` and `cdgh` (lane 3 first). `_mm_sha256rnds2_epu32` runs two
+/// rounds from the low two lanes of its message-plus-constant argument;
+/// `_mm_sha256msg1_epu32` and `_mm_sha256msg2_epu32` compute the next four
+/// schedule words. Words enter through `_mm_set_epi32` and leave through
+/// `_mm_extract_epi32`, so the kernel touches memory only through Rust
+/// references.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "sha",
+    target_feature = "sse4.1"
+))]
+mod ni {
+    use super::K;
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    /// Four words as one vector, `w[0]` in lane 0.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn lanes(w: [u32; 4]) -> __m128i {
+        _mm_set_epi32(w[3] as i32, w[2] as i32, w[1] as i32, w[0] as i32)
+    }
+
+    /// Schedule words `W[i+16..i+20]` from `W[i..i+16]` held as `w0..w3`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// One SHA-256 compression of `block` into `state`. Never inlined: the
+    /// call boundary is where LLVM clears a caller's dirty upper vector
+    /// state (`vzeroupper`) before the legacy-SSE `sha256*` instructions.
+    #[inline(never)]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let word = |i: usize| {
+            u32::from_be_bytes([
+                block[i * 4],
+                block[i * 4 + 1],
+                block[i * 4 + 2],
+                block[i * 4 + 3],
+            ])
+        };
+        let mut w = [
+            lanes([word(0), word(1), word(2), word(3)]),
+            lanes([word(4), word(5), word(6), word(7)]),
+            lanes([word(8), word(9), word(10), word(11)]),
+            lanes([word(12), word(13), word(14), word(15)]),
+        ];
+        let [a, b, c, d, e, f, g, h] = state.map(|x| x as i32);
+        let abef0 = _mm_set_epi32(a, b, e, f);
+        let cdgh0 = _mm_set_epi32(c, d, g, h);
+        let (mut abef, mut cdgh) = (abef0, cdgh0);
+        for i in 0..16 {
+            if i >= 4 {
+                w[i % 4] = schedule(w[i % 4], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]);
+            }
+            let wk = _mm_add_epi32(
+                w[i % 4],
+                lanes([K[4 * i], K[4 * i + 1], K[4 * i + 2], K[4 * i + 3]]),
+            );
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+        }
+        // The feed-forward stays in 128-bit lanes. Left to add scalars,
+        // LLVM merges the state into one 256-bit register on AVX builds,
+        // and legacy-SSE `sha256*` instructions with a dirty upper half
+        // ran over 100x slower per block on an AVX-512 Xeon.
+        abef = _mm_add_epi32(abef, abef0);
+        cdgh = _mm_add_epi32(cdgh, cdgh0);
+        *state = [
+            _mm_extract_epi32(abef, 3),
+            _mm_extract_epi32(abef, 2),
+            _mm_extract_epi32(cdgh, 3),
+            _mm_extract_epi32(cdgh, 2),
+            _mm_extract_epi32(abef, 1),
+            _mm_extract_epi32(abef, 0),
+            _mm_extract_epi32(cdgh, 1),
+            _mm_extract_epi32(cdgh, 0),
+        ]
+        .map(|x| x as u32);
+    }
 }
 
 /// Lanes in the interleaved multi-buffer compressor.
@@ -302,16 +462,10 @@ fn sha256x4(msgs: [&[u8]; LANES]) -> [[u8; 32]; LANES] {
     for l in 0..LANES {
         for k in lockstep..totals[l] {
             fill_padded_block(msgs[l], k, totals[l], &mut bufs[l]);
-            compress1(&mut states[l], &bufs[l]);
+            compress_portable(&mut states[l], &bufs[l]);
         }
     }
-    let mut out = [[0u8; 32]; LANES];
-    for l in 0..LANES {
-        for (i, word) in states[l].iter().enumerate() {
-            out[l][i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-    }
-    out
+    states.map(|state| digest_bytes(&state))
 }
 
 impl Default for Sha256 {
@@ -335,24 +489,54 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
-/// One-shot SHA-256 over a batch of independent messages.
+/// One-shot SHA-256 over a batch of independent messages, in input order.
 ///
-/// Groups the batch four messages at a time through the interleaved
-/// multi-buffer compressor (`compress4`), which runs four independent
-/// compression states in lockstep; the ≤3-message remainder takes the
-/// scalar path. Digests are returned in input order.
+/// On SHA-NI builds each message goes through the one-shot path: one
+/// hardware compression beats the portable 4-lane compressor's per-message
+/// share. Portable builds take [`portable::sha256_many`].
 pub fn sha256_many<'a, I>(inputs: I) -> Vec<[u8; 32]>
 where
     I: IntoIterator<Item = &'a [u8]>,
 {
-    let msgs: Vec<&[u8]> = inputs.into_iter().collect();
-    let mut out = Vec::with_capacity(msgs.len());
-    let mut groups = msgs.chunks_exact(LANES);
-    for group in &mut groups {
-        out.extend(sha256x4([group[0], group[1], group[2], group[3]]));
+    if SHA_NI {
+        inputs.into_iter().map(sha256).collect()
+    } else {
+        portable::sha256_many(inputs)
     }
-    out.extend(groups.remainder().iter().map(|m| sha256(m)));
-    out
+}
+
+/// The software kernels, reachable on every build so that tests and bench
+/// gates can compare the default kernel against them. Not part of the
+/// crate's supported API.
+#[doc(hidden)]
+pub mod portable {
+    use super::{compress_portable, sha256x4, Sha256, LANES};
+
+    /// One-shot SHA-256 on the scalar software kernel.
+    pub fn sha256(data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.absorb(data, compress_portable);
+        h.finish(compress_portable)
+    }
+
+    /// Batched SHA-256 on the software kernels: four messages at a time
+    /// through the interleaved multi-buffer compressor (`compress4`), which
+    /// runs four independent compression states in lockstep; the
+    /// ≤3-message remainder takes the scalar kernel. Digests are returned
+    /// in input order.
+    pub fn sha256_many<'a, I>(inputs: I) -> Vec<[u8; 32]>
+    where
+        I: IntoIterator<Item = &'a [u8]>,
+    {
+        let msgs: Vec<&[u8]> = inputs.into_iter().collect();
+        let mut out = Vec::with_capacity(msgs.len());
+        let mut groups = msgs.chunks_exact(LANES);
+        for group in &mut groups {
+            out.extend(sha256x4([group[0], group[1], group[2], group[3]]));
+        }
+        out.extend(groups.remainder().iter().map(|m| sha256(m)));
+        out
+    }
 }
 
 #[cfg(test)]
@@ -362,6 +546,15 @@ mod tests {
 
     fn hash_hex(data: &[u8]) -> String {
         hex_encode(&sha256(data))
+    }
+
+    /// `msgs` through the default batch path and the portable 4-lane one;
+    /// on SHA-NI builds only the latter runs the lockstep compressor.
+    fn batched_both_ways(msgs: &[Vec<u8>]) -> [Vec<[u8; 32]>; 2] {
+        [
+            sha256_many(msgs.iter().map(Vec::as_slice)),
+            portable::sha256_many(msgs.iter().map(Vec::as_slice)),
+        ]
     }
 
     #[test]
@@ -426,12 +619,13 @@ mod tests {
 
     #[test]
     fn oneshot_bytewise_and_batched_agree_for_every_length() {
-        // `sha256_many` pads through its own `fill_padded_block`, so it is
-        // an independent check of `finalize`'s padding at every boundary.
+        // `portable::sha256_many` pads through its own `fill_padded_block`,
+        // so it is an independent check of `finalize`'s padding at every
+        // boundary.
         let msgs: Vec<Vec<u8>> = (0..=200usize)
             .map(|n| (0..n).map(|i| (i * 31 % 251) as u8).collect())
             .collect();
-        let batched = sha256_many(msgs.iter().map(|m| m.as_slice()));
+        let batched = portable::sha256_many(msgs.iter().map(|m| m.as_slice()));
         for (msg, many) in msgs.iter().zip(&batched) {
             let mut h = Sha256::new();
             for b in msg {
@@ -459,10 +653,11 @@ mod tests {
             .iter()
             .map(|&n| (0..n).map(|i| (i % 251) as u8).collect())
             .collect();
-        let batched = sha256_many(msgs.iter().map(|m| m.as_slice()));
-        assert_eq!(batched.len(), msgs.len());
-        for (msg, digest) in msgs.iter().zip(&batched) {
-            assert_eq!(*digest, sha256(msg), "len {}", msg.len());
+        for batched in batched_both_ways(&msgs) {
+            assert_eq!(batched.len(), msgs.len());
+            for (msg, digest) in msgs.iter().zip(&batched) {
+                assert_eq!(*digest, sha256(msg), "len {}", msg.len());
+            }
         }
     }
 
@@ -471,9 +666,10 @@ mod tests {
         // One 4-wide group whose lanes exhaust at different block counts:
         // the lockstep prefix plus per-lane scalar tails must all agree.
         let msgs: Vec<Vec<u8>> = vec![vec![7u8; 10], vec![8u8; 500], vec![9u8; 64], vec![1u8; 200]];
-        let batched = sha256_many(msgs.iter().map(|m| m.as_slice()));
-        for (msg, digest) in msgs.iter().zip(&batched) {
-            assert_eq!(*digest, sha256(msg));
+        for batched in batched_both_ways(&msgs) {
+            for (msg, digest) in msgs.iter().zip(&batched) {
+                assert_eq!(*digest, sha256(msg));
+            }
         }
     }
 
@@ -481,10 +677,11 @@ mod tests {
     fn many_remainder_sizes() {
         for n in 0..9usize {
             let msgs: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 40 + i]).collect();
-            let batched = sha256_many(msgs.iter().map(|m| m.as_slice()));
-            assert_eq!(batched.len(), n);
-            for (msg, digest) in msgs.iter().zip(&batched) {
-                assert_eq!(*digest, sha256(msg));
+            for batched in batched_both_ways(&msgs) {
+                assert_eq!(batched.len(), n);
+                for (msg, digest) in msgs.iter().zip(&batched) {
+                    assert_eq!(*digest, sha256(msg));
+                }
             }
         }
     }

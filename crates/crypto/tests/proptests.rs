@@ -2,10 +2,10 @@
 //! deterministic SplitMix64 input sweep (no external crates, fully offline).
 
 use pinning_crypto::sha1::Sha1;
-use pinning_crypto::sha256::Sha256;
+use pinning_crypto::sha256::{portable, Sha256};
 use pinning_crypto::sig::KeyPair;
 use pinning_crypto::{
-    b64decode, b64encode, hex_decode, hex_encode, hmac_sha256, sha256, SplitMix64,
+    b64decode, b64encode, hex_decode, hex_encode, hmac_sha256, sha256, sha256_many, SplitMix64,
 };
 
 const CASES: u64 = 200;
@@ -74,6 +74,88 @@ fn sha256_many_matches_individual_hashes() {
         let batch = pinning_crypto::sha256::sha256_many(msgs.iter().map(Vec::as_slice));
         let singles: Vec<[u8; 32]> = msgs.iter().map(|m| sha256(m)).collect();
         assert_eq!(batch, singles);
+    }
+}
+
+// Differential tests: the default block kernel (SHA-NI on builds that
+// enable it) against the portable software kernels. CI runs this file on
+// both builds, so each kernel is checked against the other wherever the
+// default differs, and the portable paths against themselves elsewhere.
+
+#[test]
+fn default_kernel_matches_portable_on_random_messages() {
+    let mut rng = SplitMix64::new(0xd1ff);
+    for _ in 0..CASES {
+        let data = bytes(&mut rng, 1024);
+        assert_eq!(sha256(&data), portable::sha256(&data), "len {}", data.len());
+    }
+}
+
+#[test]
+fn default_kernel_matches_portable_at_every_padding_boundary() {
+    let mut rng = SplitMix64::new(0xb0dd);
+    for len in [0usize, 1, 55, 56, 63, 64, 65, 119, 120, 127, 128, 129] {
+        let mut data = vec![0u8; len];
+        rng.fill_bytes(&mut data);
+        assert_eq!(sha256(&data), portable::sha256(&data), "len {len}");
+    }
+}
+
+#[test]
+fn default_kernel_streaming_matches_portable() {
+    let mut rng = SplitMix64::new(0x5e9);
+    for _ in 0..CASES {
+        let data = bytes(&mut rng, 1024);
+        let mut points: Vec<usize> = (0..rng.next_below(6))
+            .map(|_| rng.next_below(data.len() as u64 + 1) as usize)
+            .collect();
+        points.extend([0, data.len()]);
+        points.sort_unstable();
+        let mut h = Sha256::new();
+        for w in points.windows(2) {
+            h.update(&data[w[0]..w[1]]);
+        }
+        assert_eq!(h.finalize(), portable::sha256(&data), "splits {points:?}");
+    }
+}
+
+#[test]
+fn hmac_sha256_matches_portable_construction() {
+    // RFC 2104 spelled out over the portable kernel, keys on both sides of
+    // the 64-byte block size (longer keys are hashed first).
+    let mut rng = SplitMix64::new(0x4ac2);
+    for _ in 0..CASES {
+        let key = bytes(&mut rng, 100);
+        let msg = bytes(&mut rng, 512);
+        let mut k = [0u8; 64];
+        if key.len() > 64 {
+            k[..32].copy_from_slice(&portable::sha256(&key));
+        } else {
+            k[..key.len()].copy_from_slice(&key);
+        }
+        let mut inner: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
+        inner.extend_from_slice(&msg);
+        let mut outer: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
+        outer.extend_from_slice(&portable::sha256(&inner));
+        assert_eq!(hmac_sha256(&key, &msg), portable::sha256(&outer));
+    }
+}
+
+#[test]
+fn sha256_many_matches_portable_on_unequal_batches() {
+    let mut rng = SplitMix64::new(0x3a58);
+    for _ in 0..40 {
+        // Lengths from empty to several blocks, so one 4-lane group mixes
+        // lanes that finish at different block counts.
+        let msgs: Vec<Vec<u8>> = (0..rng.next_below(11))
+            .map(|_| bytes(&mut rng, 400))
+            .collect();
+        let singles: Vec<[u8; 32]> = msgs.iter().map(|m| portable::sha256(m)).collect();
+        assert_eq!(sha256_many(msgs.iter().map(Vec::as_slice)), singles);
+        assert_eq!(
+            portable::sha256_many(msgs.iter().map(Vec::as_slice)),
+            singles
+        );
     }
 }
 

@@ -218,9 +218,11 @@ pub fn app_fingerprint_in(
 
 /// [`app_fingerprint_in`] for many apps against one `served`, in input
 /// order: equal to fingerprinting each alone, but each destination is
-/// digested once. The app digests are computed four at a time
-/// ([`sha256_many`]), over preimages grouped by length so the four lanes
-/// run in step.
+/// digested once. The app digests go through [`sha256_many`] over
+/// preimages grouped by length. The grouping only matters on portable
+/// builds, where `sha256_many` hashes four at a time and equal lengths
+/// keep the four lanes in step; on SHA-NI builds each preimage is hashed
+/// on its own and the order is irrelevant.
 pub(crate) fn app_fingerprints_with<'a>(
     apps: impl IntoIterator<Item = &'a MobileApp>,
     served: &mut ServedState<'_>,

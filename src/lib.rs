@@ -33,6 +33,8 @@
 //! assert!(results.datasets.len() == 6);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use pinning_analysis as analysis;
 pub use pinning_app as app;
 pub use pinning_core as core;
