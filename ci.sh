@@ -27,6 +27,10 @@ done
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 
+echo "==> paper-scale report (full_study paper 2022 stdout byte-identical to paper_scale_report.txt)"
+cargo run -q --release --offline --example full_study -- paper 2022 > target/paper_scale_report.out
+cmp target/paper_scale_report.out paper_scale_report.txt || { echo "full_study paper 2022 no longer reproduces paper_scale_report.txt"; exit 1; }
+
 echo "==> perfbench self-test (the repository benchmark builds against the current API; tiny sizes, output checks, metric catalogue)"
 python3 perfbench/run.py --self-test
 

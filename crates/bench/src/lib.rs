@@ -20,17 +20,11 @@ use pinning_store::config::WorldConfig;
 use pinning_store::world::World;
 use std::sync::OnceLock;
 
-/// Bench-scale world configuration: large enough that every table has
-/// non-trivial rows, small enough for criterion's iteration counts.
+/// Bench-scale world configuration ([`WorldConfig::bench`]): large enough
+/// that every table has non-trivial rows, small enough for criterion's
+/// iteration counts.
 pub fn bench_world_config(seed: u64) -> WorldConfig {
-    WorldConfig {
-        store_size: 1200,
-        n_cross_products: 200,
-        common_size: 140,
-        popular_size: 250,
-        random_size: 250,
-        ..WorldConfig::paper_scale(seed)
-    }
+    WorldConfig::bench(seed)
 }
 
 /// Worker threads for the shared bench study: `PINNING_BENCH_THREADS` when

@@ -167,6 +167,19 @@ impl WorldConfig {
         }
     }
 
+    /// The benchmark world, between tiny and paper scale: 1,200 apps per
+    /// store, large enough that every table has non-trivial rows.
+    pub fn bench(seed: u64) -> Self {
+        WorldConfig {
+            store_size: 1200,
+            n_cross_products: 200,
+            common_size: 140,
+            popular_size: 250,
+            random_size: 250,
+            ..Self::paper_scale(seed)
+        }
+    }
+
     /// Pinning rates for `platform`.
     pub fn rates(&self, platform: pinning_app::platform::Platform) -> &PinningRates {
         match platform {

@@ -70,29 +70,7 @@ pub struct World {
 impl World {
     /// Generates the world from `config`.
     pub fn generate(config: WorldConfig) -> World {
-        let root_rng = SplitMix64::new(config.seed);
-        let mut pki_rng = root_rng.derive("pki");
-        let universe = PkiUniverse::generate(&UniverseConfig::default(), &mut pki_rng);
-        let now = universe.now();
-
-        let mut ct_rng = root_rng.derive("ct");
-        let mut gen = Generator {
-            config: &config,
-            universe,
-            network: Network::new(),
-            ctlog: LogSet::sim_ecosystem(
-                now,
-                config.ct_leaf_coverage,
-                config.ct_ca_coverage,
-                &mut ct_rng,
-            ),
-            whois: WhoisRegistry::new(),
-            rng: root_rng,
-            now,
-            seeded_serials: false,
-        };
-        gen.register_infrastructure();
-
+        let mut gen = Generator::for_world(&config);
         let (apps, android_listing, ios_listing, alternativeto, products, hostile_apps) =
             appgen::generate_apps(&mut gen);
 
@@ -101,6 +79,7 @@ impl World {
             mut network,
             ctlog,
             whois,
+            now,
             ..
         } = gen;
 
@@ -166,9 +145,7 @@ pub(crate) struct Generator<'a> {
     pub ctlog: LogSet,
     pub whois: WhoisRegistry,
     pub rng: SplitMix64,
-    /// Simulation "now" (kept for sub-generators that need wall-clock
-    /// anchoring, e.g. future certificate-rotation extensions).
-    #[allow(dead_code)]
+    /// Simulation "now".
     pub now: SimTime,
     /// When set, public-server leaf serials come from the hostname's own
     /// RNG stream instead of the intermediate's issuance counter. The
@@ -180,6 +157,34 @@ pub(crate) struct Generator<'a> {
 }
 
 impl<'a> Generator<'a> {
+    /// The monolithic world's generator: the PKI universe, the CT log
+    /// ecosystem and the infrastructure servers, before any app.
+    pub fn for_world(config: &'a WorldConfig) -> Self {
+        let root_rng = SplitMix64::new(config.seed);
+        let mut pki_rng = root_rng.derive("pki");
+        let universe = PkiUniverse::generate(&UniverseConfig::default(), &mut pki_rng);
+        let now = universe.now();
+
+        let mut ct_rng = root_rng.derive("ct");
+        let mut gen = Generator {
+            config,
+            universe,
+            network: Network::new(),
+            ctlog: LogSet::sim_ecosystem(
+                now,
+                config.ct_leaf_coverage,
+                config.ct_ca_coverage,
+                &mut ct_rng,
+            ),
+            whois: WhoisRegistry::new(),
+            rng: root_rng,
+            now,
+            seeded_serials: false,
+        };
+        gen.register_infrastructure();
+        gen
+    }
+
     /// Registers a default-PKI server for `hostnames` under a chain issued
     /// by a deterministic intermediate, records whois, and submits the
     /// chain to the CT log (leaf coverage is probabilistic).

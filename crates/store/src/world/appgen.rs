@@ -182,6 +182,50 @@ pub(crate) fn generate_apps(
     HashMap<String, (Option<usize>, Option<usize>)>,
     Vec<usize>,
 ) {
+    let Catalog {
+        products,
+        mut apps,
+        scores,
+        product_index,
+    } = build_catalog(gen);
+
+    // --- 4. Listings (rank order) ---
+    let (android_listing, ios_listing) = list_apps(&mut apps, &scores);
+
+    // --- 5. AlternativeTo cross listing (popularity order) ---
+    let mut cross: Vec<&Product> = products.iter().filter(|p| p.cross).collect();
+    cross.sort_by(|a, b| {
+        (a.rank_score_android + a.rank_score_ios)
+            .partial_cmp(&(b.rank_score_android + b.rank_score_ios))
+            .expect("scores are finite")
+    });
+    let alternativeto: Vec<String> = cross.iter().map(|p| p.key.clone()).collect();
+
+    // --- 6. Adversarial cohort (after listings, so rankings are
+    //        untouched; hostile apps live outside the store) ---
+    let hostile_apps = plant_adversarial_apps(gen, &mut apps);
+
+    (
+        apps,
+        android_listing,
+        ios_listing,
+        alternativeto,
+        product_index,
+        hostile_apps,
+    )
+}
+
+/// Steps 1–3 of [`generate_apps`]: every product, its servers, and its
+/// apps.
+struct Catalog {
+    products: Vec<Product>,
+    apps: Vec<MobileApp>,
+    /// Each app's store rank score, indexed like `apps`.
+    scores: Vec<f64>,
+    product_index: HashMap<String, (Option<usize>, Option<usize>)>,
+}
+
+fn build_catalog(gen: &mut Generator<'_>) -> Catalog {
     let store_size = gen.config.store_size;
     let n_cross = gen.config.n_cross_products;
     let n_products = 2 * store_size - n_cross;
@@ -216,86 +260,66 @@ pub(crate) fn generate_apps(
         }
     }
 
-    // --- 3. Apps ---
+    // --- 3. Apps, each with its rank score recorded while its product
+    //        is at hand, so the listings never look a product up ---
     let mut apps = Vec::new();
-    let mut product_index: HashMap<String, (Option<usize>, Option<usize>)> = HashMap::new();
+    let mut scores = Vec::new();
+    let mut product_index = HashMap::new();
     for (pi, p) in products.iter().enumerate() {
-        let mut entry = (None, None);
-        if p.android.is_some() {
+        let mut push = |platform, score| {
             let idx = apps.len();
-            apps.push(build_app(gen, p, pi, Platform::Android));
-            entry.0 = Some(idx);
-        }
-        if p.ios.is_some() {
-            let idx = apps.len();
-            apps.push(build_app(gen, p, pi, Platform::Ios));
-            entry.1 = Some(idx);
-        }
-        product_index.insert(p.key.clone(), entry);
+            apps.push(build_app(gen, p, pi, platform));
+            debug_assert_eq!(apps[idx].product_key, p.key);
+            scores.push(score);
+            idx
+        };
+        let android = p
+            .android
+            .is_some()
+            .then(|| push(Platform::Android, p.rank_score_android));
+        let ios = p
+            .ios
+            .is_some()
+            .then(|| push(Platform::Ios, p.rank_score_ios));
+        product_index.insert(p.key.clone(), (android, ios));
     }
 
-    // --- 4. Listings (rank order) ---
-    let mut android_listing: Vec<usize> = apps
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.id.platform == Platform::Android)
-        .map(|(i, _)| i)
-        .collect();
-    let score_of = |apps: &[MobileApp], products: &[Product], i: usize, platform: Platform| {
-        let key = &apps[i].product_key;
-        let p = products
-            .iter()
-            .find(|p| &p.key == key)
-            .expect("product exists");
-        match platform {
-            Platform::Android => p.rank_score_android,
-            Platform::Ios => p.rank_score_ios,
-        }
-    };
-    android_listing.sort_by(|&a, &b| {
-        score_of(&apps, &products, a, Platform::Android)
-            .partial_cmp(&score_of(&apps, &products, b, Platform::Android))
-            .expect("scores are finite")
-    });
-    let mut ios_listing: Vec<usize> = apps
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.id.platform == Platform::Ios)
-        .map(|(i, _)| i)
-        .collect();
-    ios_listing.sort_by(|&a, &b| {
-        score_of(&apps, &products, a, Platform::Ios)
-            .partial_cmp(&score_of(&apps, &products, b, Platform::Ios))
-            .expect("scores are finite")
-    });
-    for (rank, &i) in android_listing.iter().enumerate() {
-        apps[i].popularity_rank = rank as u32 + 1;
-    }
-    for (rank, &i) in ios_listing.iter().enumerate() {
-        apps[i].popularity_rank = rank as u32 + 1;
-    }
-
-    // --- 5. AlternativeTo cross listing (popularity order) ---
-    let mut cross: Vec<&Product> = products.iter().filter(|p| p.cross).collect();
-    cross.sort_by(|a, b| {
-        (a.rank_score_android + a.rank_score_ios)
-            .partial_cmp(&(b.rank_score_android + b.rank_score_ios))
-            .expect("scores are finite")
-    });
-    let alternativeto: Vec<String> = cross.iter().map(|p| p.key.clone()).collect();
-
-    // --- 6. Adversarial cohort (after listings, so rankings are
-    //        untouched; hostile apps live outside the store) ---
-    let hostile_apps = plant_adversarial_apps(gen, &mut apps);
-
-    (
+    Catalog {
+        products,
         apps,
-        android_listing,
-        ios_listing,
-        alternativeto,
+        scores,
         product_index,
-        hostile_apps,
-    )
+    }
+}
+
+/// Step 4 of [`generate_apps`]: both store listings, most popular first,
+/// with every listed app's `popularity_rank` set to its 1-based position.
+fn list_apps(apps: &mut [MobileApp], scores: &[f64]) -> (Vec<usize>, Vec<usize>) {
+    let android = rank_listing(apps, scores, Platform::Android);
+    let ios = rank_listing(apps, scores, Platform::Ios);
+    for listing in [&android, &ios] {
+        for (rank, &i) in listing.iter().enumerate() {
+            apps[i].popularity_rank = rank as u32 + 1;
+        }
+    }
+    (android, ios)
+}
+
+/// The indices of `platform`'s apps, stably sorted by their `scores`.
+/// Reads each score once.
+fn rank_listing(apps: &[MobileApp], scores: &[f64], platform: Platform) -> Vec<usize> {
+    let mut keyed: Vec<(f64, usize)> = apps
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| a.id.platform == platform)
+        .map(|(i, _)| {
+            #[cfg(test)]
+            tests::SCORE_READS.with(|n| n.set(n.get() + 1));
+            (scores[i], i)
+        })
+        .collect();
+    keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("scores are finite"));
+    keyed.into_iter().map(|(_, i)| i).collect()
 }
 
 pub(crate) fn make_product(
@@ -1389,6 +1413,97 @@ const _: fn(Interaction) -> bool = |i| matches!(i, Interaction::None);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::WorldConfig;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Rank scores [`rank_listing`] read on this thread, counted in
+        /// test builds only.
+        pub(super) static SCORE_READS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The listing sort before scores were recorded at build: every
+    /// comparison searches `products` for both apps' products, O(n² log n)
+    /// in all. The reference [`rank_listing`] must match index for index.
+    fn reference_listing(
+        apps: &[MobileApp],
+        products: &[Product],
+        platform: Platform,
+    ) -> Vec<usize> {
+        let mut listing: Vec<usize> = apps
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.id.platform == platform)
+            .map(|(i, _)| i)
+            .collect();
+        let score_of = |i: usize| {
+            let key = &apps[i].product_key;
+            let p = products
+                .iter()
+                .find(|p| &p.key == key)
+                .expect("product exists");
+            match platform {
+                Platform::Android => p.rank_score_android,
+                Platform::Ios => p.rank_score_ios,
+            }
+        };
+        listing.sort_by(|&a, &b| {
+            score_of(a)
+                .partial_cmp(&score_of(b))
+                .expect("scores are finite")
+        });
+        listing
+    }
+
+    #[test]
+    fn listings_match_the_product_search_reference() {
+        let configs = [
+            WorldConfig::tiny(1),
+            WorldConfig::tiny(2),
+            WorldConfig::tiny(0x77),
+            WorldConfig::bench(101),
+            WorldConfig::bench(90017),
+        ];
+        for config in &configs {
+            let mut gen = Generator::for_world(config);
+            let Catalog {
+                products,
+                mut apps,
+                scores,
+                ..
+            } = build_catalog(&mut gen);
+            let reference = [Platform::Android, Platform::Ios]
+                .map(|platform| reference_listing(&apps, &products, platform));
+
+            let (android, ios) = list_apps(&mut apps, &scores);
+            assert_eq!(android, reference[0], "seed {}", config.seed);
+            assert_eq!(ios, reference[1], "seed {}", config.seed);
+            for listing in &reference {
+                for (rank, &i) in listing.iter().enumerate() {
+                    assert_eq!(apps[i].popularity_rank as usize, rank + 1);
+                }
+            }
+            assert_eq!(android.len() + ios.len(), apps.len());
+        }
+    }
+
+    #[test]
+    fn ranking_reads_each_score_once() {
+        let config = WorldConfig::tiny(3);
+        let mut gen = Generator::for_world(&config);
+        let Catalog { apps, scores, .. } = build_catalog(&mut gen);
+        for platform in [Platform::Android, Platform::Ios] {
+            let on_platform = apps.iter().filter(|a| a.id.platform == platform).count();
+            let before = SCORE_READS.with(Cell::get);
+            let listing = rank_listing(&apps, &scores, platform);
+            let reads = SCORE_READS.with(Cell::get) - before;
+            assert_eq!(listing.len(), on_platform);
+            assert!(
+                reads <= on_platform,
+                "{platform:?}: {reads} reads for {on_platform} apps"
+            );
+        }
+    }
 
     #[test]
     fn profile_sampling_covers_all_variants() {

@@ -7,13 +7,15 @@
 //! cargo run --example full_study -- chaos 7             # fault injection on
 //! ```
 //!
-//! Paper scale generates two 4,000-app stores, draws the six datasets
+//! Paper scale generates two 10,000-app stores, draws the six datasets
 //! (Common 575×2, Popular 1,000×2, Random 1,000×2), runs the complete
 //! static + dynamic + circumvention pipeline on every unique app, and
-//! prints Tables 1–9 and Figures 1–5 as measured.
+//! prints Tables 1–9 and Figures 1–5 as measured. Stage wall times (world
+//! generation, measurement, `render_all`) go to stderr.
 
-use app_tls_pinning::core::{Study, StudyConfig};
+use app_tls_pinning::core::{Study, StudyConfig, StudyOutcome};
 use app_tls_pinning::netsim::faults::FaultConfig;
+use app_tls_pinning::store::world::World;
 use std::time::Instant;
 
 fn main() {
@@ -41,18 +43,36 @@ fn main() {
         "running {scale}-scale study (seed {seed}, {} threads)…",
         config.threads
     );
+    // Stage wall times go to stderr with the rest of the telemetry, so
+    // stdout stays exactly the paper's tables and figures.
     let t0 = Instant::now();
-    let results = Study::new(config).run();
-    let elapsed = t0.elapsed();
+    let world = World::generate(config.world.clone());
+    let generated = t0.elapsed();
+    eprintln!("world generated in {generated:.1?}");
+
+    let t1 = Instant::now();
+    let outcome = Study::new(config.clone())
+        .run_on_world(world, config.journal(), config.fingerprint())
+        .expect("a fresh journal matches its own config");
+    let StudyOutcome::Completed(results) = outcome else {
+        unreachable!("no kill is configured");
+    };
+    let measured = t1.elapsed();
     eprintln!(
-        "pipeline finished in {:.1?}: {} unique apps analyzed ({:.1} apps/sec)\n",
-        elapsed,
+        "measurement finished in {:.1?}: {} unique apps analyzed ({:.1} apps/sec)",
+        measured,
         results.records.len(),
-        results.records.len() as f64 / elapsed.as_secs_f64().max(1e-9)
+        results.records.len() as f64 / measured.as_secs_f64().max(1e-9)
     );
 
-    println!("{}", results.render_all());
-    // Supervision telemetry goes to stderr so stdout stays exactly the
-    // paper's tables and figures.
+    let t2 = Instant::now();
+    let report = results.render_all();
+    let rendered = t2.elapsed();
+    eprintln!(
+        "render_all finished in {rendered:.1?}; total {:.1?}\n",
+        t0.elapsed()
+    );
+
+    println!("{report}");
     eprintln!("{}", results.render_run_health());
 }
