@@ -346,22 +346,19 @@ fn screen_app_inputs(env: &DynamicEnv<'_>, app: &MobileApp) -> Result<(), Measur
         }
     }
 
-    // 2. Served chains: screen the structure of what each planned
-    //    destination will present, before any run is attempted.
-    let budget = pinning_pki::limits::Budget::STANDARD;
+    // 2. Served chains: the structure of what each planned destination
+    //    will present, screened once per server by the network.
     let network = env.device(app.id.platform).network;
     for conn in &app.behavior.connections {
-        if let Some(server) = network.resolve(&conn.domain) {
-            pinning_pki::limits::screen_chain(server.chain.certs(), &budget).map_err(|defect| {
-                MeasurementError::MalformedInput {
-                    layer: InputLayer::Chain,
-                    reason: if defect.is_budget_trip() {
-                        MalformedKind::LimitExceeded
-                    } else {
-                        MalformedKind::BadStructure
-                    },
-                }
-            })?;
+        if let Some(Err(defect)) = network.chain_screen(&conn.domain) {
+            return Err(MeasurementError::MalformedInput {
+                layer: InputLayer::Chain,
+                reason: if defect.is_budget_trip() {
+                    MalformedKind::LimitExceeded
+                } else {
+                    MalformedKind::BadStructure
+                },
+            });
         }
     }
     Ok(())
@@ -603,6 +600,54 @@ mod tests {
             if result.pins() {
                 assert!(result.settled_rerun);
             }
+        }
+    }
+
+    /// The app and planned destination a chain swap targets, by index.
+    fn swap_target(w: &World) -> (usize, String) {
+        w.apps
+            .iter()
+            .enumerate()
+            .find_map(|(i, app)| {
+                let conn = app.behavior.connections.first()?;
+                w.network
+                    .has_host(&conn.domain)
+                    .then(|| (i, conn.domain.clone()))
+            })
+            .expect("a tiny world app reaches a registered host")
+    }
+
+    /// What `screen_app_inputs` says about app `i` of `w`.
+    fn screen(w: &World, i: usize) -> Result<(), MeasurementError> {
+        screen_app_inputs(&env(w), &w.apps[i])
+    }
+
+    #[test]
+    fn a_chain_swapped_through_resolve_mut_is_screened_again() {
+        let hostile = |w: &World, host: &str, copies: usize| {
+            let leaf = &w.network.resolve(host).unwrap().chain.certs()[0];
+            pinning_pki::chain::CertificateChain::new(vec![leaf.clone(); copies])
+        };
+        let too_long = pinning_pki::limits::Budget::STANDARD.max_chain_len + 1;
+        for (copies, reason) in [
+            (2, MalformedKind::BadStructure),
+            (too_long, MalformedKind::LimitExceeded),
+        ] {
+            // Screened clean first, so the network holds a verdict to reset.
+            let mut screened = world();
+            let (i, host) = swap_target(&screened);
+            assert_eq!(screen(&screened, i), Ok(()));
+            let chain = hostile(&screened, &host, copies);
+            screened.network.resolve_mut(&host).unwrap().chain = chain.clone();
+
+            let mut fresh = world();
+            fresh.network.resolve_mut(&host).unwrap().chain = chain;
+            let expected = Err(MeasurementError::MalformedInput {
+                layer: InputLayer::Chain,
+                reason,
+            });
+            assert_eq!(screen(&fresh, i), expected, "{copies} copies");
+            assert_eq!(screen(&screened, i), expected, "{copies} copies");
         }
     }
 

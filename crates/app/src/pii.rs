@@ -150,8 +150,38 @@ impl DeviceIdentity {
     /// Renders an HTTP-ish request body containing `pii` fields plus generic
     /// telemetry noise, as an app would transmit it.
     pub fn render_payload(&self, pii: &[PiiType], noise_token: u64) -> String {
+        use core::fmt::Write;
+        let mut body = String::with_capacity(self.payload_len(pii, noise_token));
+        write!(body, "{PAYLOAD_HEAD}{noise_token}{PAYLOAD_NOISE}")
+            .expect("a String takes any write");
+        for &p in pii {
+            body.push('&');
+            body.push_str(p.param_key());
+            body.push('=');
+            body.push_str(self.value_of(p));
+        }
+        body
+    }
+
+    /// The length in bytes of [`DeviceIdentity::render_payload`]'s body,
+    /// without rendering it (what a run that sees only ciphertext needs).
+    pub fn payload_len(&self, pii: &[PiiType], noise_token: u64) -> usize {
+        let digits = noise_token.checked_ilog10().map_or(1, |d| d as usize + 1);
+        PAYLOAD_HEAD.len()
+            + digits
+            + PAYLOAD_NOISE.len()
+            + pii
+                .iter()
+                .map(|&p| 2 + p.param_key().len() + self.value_of(p).len())
+                .sum::<usize>()
+    }
+
+    /// The `Vec<String>`-join rendering `render_payload` replaced, kept as
+    /// the reference its output is tested against.
+    #[cfg(test)]
+    fn render_payload_joined(&self, pii: &[PiiType], noise_token: u64) -> String {
         let mut parts: Vec<String> = vec![
-            format!("event=launch"),
+            "event=launch".to_string(),
             format!("ts={noise_token}"),
             "sdkv=7.2.1".to_string(),
         ];
@@ -161,6 +191,11 @@ impl DeviceIdentity {
         parts.join("&")
     }
 }
+
+/// Every request body starts with these fields, the noise token between
+/// them.
+const PAYLOAD_HEAD: &str = "event=launch&ts=";
+const PAYLOAD_NOISE: &str = "&sdkv=7.2.1";
 
 #[cfg(test)]
 mod tests {
@@ -206,6 +241,53 @@ mod tests {
         assert!(body.contains("city=Boston"));
         assert!(!body.contains(&d.imei));
         assert!(!body.contains(&d.email));
+    }
+
+    /// Every subset of the PII vocabulary, in `PiiType::ALL` order.
+    fn every_pii_subset() -> impl Iterator<Item = Vec<PiiType>> {
+        (0u32..1 << PiiType::ALL.len()).map(|mask| {
+            PiiType::ALL
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, &p)| p)
+                .collect()
+        })
+    }
+
+    const TOKENS: [u64; 5] = [0, 9, 10, 99_999, 0xffff_ffff];
+
+    #[test]
+    fn payload_len_is_the_rendered_length() {
+        let d = identity();
+        for pii in every_pii_subset() {
+            for token in TOKENS {
+                assert_eq!(
+                    d.payload_len(&pii, token),
+                    d.render_payload(&pii, token).len(),
+                    "{pii:?} / {token}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn single_buffer_render_equals_the_joined_render() {
+        let d = identity();
+        for pii in every_pii_subset() {
+            for token in TOKENS {
+                assert_eq!(
+                    d.render_payload(&pii, token),
+                    d.render_payload_joined(&pii, token),
+                    "{pii:?} / {token}"
+                );
+            }
+        }
+        let reversed: Vec<PiiType> = PiiType::ALL.iter().rev().copied().collect();
+        assert_eq!(
+            d.render_payload(&reversed, 7),
+            d.render_payload_joined(&reversed, 7)
+        );
     }
 
     #[test]

@@ -366,7 +366,7 @@ fn sample_capture() -> pinning_netsim::flow::Capture {
     let mut t = ConnectionTranscript {
         sni: Some("api.fuzz.example".into()),
         offered_versions: vec![TlsVersion::V1_2, TlsVersion::V1_3],
-        offered_ciphers: CipherSuite::legacy_client_list(),
+        offered_ciphers: CipherSuite::legacy_client_list().to_vec(),
         negotiated: Some((TlsVersion::V1_3, CipherSuite::TLS_AES_128_GCM_SHA256)),
         ..Default::default()
     };

@@ -240,12 +240,7 @@ impl<'a> Device<'a> {
         };
         let client = ClientConfig::modern(TlsLibrary::NsUrlSession);
         let forged = cfg.proxy.map(|p| p.forge_chain(domain, &server.chain));
-        let chain = forged.as_deref().unwrap_or(&server.chain);
-        let endpoint = ServerEndpoint {
-            chain,
-            versions: server.versions.clone(),
-            ciphers: server.ciphers.clone(),
-        };
+        let endpoint = server_endpoint(server, forged.as_deref());
         // OS services validate against the OS store (no proxy CA).
         let mut out = establish(
             &client,
@@ -352,14 +347,14 @@ impl<'a> Device<'a> {
                 Some(rule) => CertPolicy {
                     system_validation: !rule.custom_pki,
                     validation_options: Default::default(),
-                    pins: Some(rule.pins.clone()),
+                    pins: Some(&rule.pins),
                 },
                 None => CertPolicy::system_default(),
             }
         };
 
         let client = ClientConfig {
-            offered_versions: vec![TlsVersion::V1_2, TlsVersion::V1_3],
+            offered_versions: &TlsVersion::MODERN,
             offered_ciphers: if conn.offers_weak_ciphers {
                 CipherSuite::legacy_client_list()
             } else {
@@ -436,12 +431,7 @@ impl<'a> Device<'a> {
             let forged = cfg
                 .proxy
                 .map(|p| p.forge_chain(&conn.domain, &server.chain));
-            let chain = forged.as_deref().unwrap_or(&server.chain);
-            let endpoint = ServerEndpoint {
-                chain,
-                versions: server.versions.clone(),
-                ciphers: server.ciphers.clone(),
-            };
+            let endpoint = server_endpoint(server, forged.as_deref());
             let mut out = establish(
                 &client,
                 &endpoint,
@@ -458,17 +448,22 @@ impl<'a> Device<'a> {
                     if conn.redundant {
                         session.close(&mut out.transcript);
                     } else {
-                        let payload = self
-                            .identity
-                            .render_payload(&conn.pii, rng.next_u64() & 0xffff_ffff);
-                        let body_len = payload.len() + conn.extra_bytes;
-                        session.send_client_data(&mut out.transcript, body_len);
+                        let token = rng.next_u64() & 0xffff_ffff;
+                        let payload_len = if cfg.proxy.is_some() {
+                            // Interception succeeded: the proxy sees plaintext.
+                            let payload = self.identity.render_payload(&conn.pii, token);
+                            let len = payload.len();
+                            decrypted = Some(payload);
+                            len
+                        } else {
+                            // Only ciphertext is captured: the body's size is
+                            // all the run records.
+                            self.identity.payload_len(&conn.pii, token)
+                        };
+                        session
+                            .send_client_data(&mut out.transcript, payload_len + conn.extra_bytes);
                         session.send_server_data(&mut out.transcript, server.response_bytes);
                         session.close(&mut out.transcript);
-                        if cfg.proxy.is_some() {
-                            // Interception succeeded: the proxy sees plaintext.
-                            decrypted = Some(payload);
-                        }
                     }
                     flows.push(FlowRecord {
                         dest: conn.domain.clone(),
@@ -494,6 +489,19 @@ impl<'a> Device<'a> {
                 }
             }
         }
+    }
+}
+
+/// The endpoint `server` presents: its own chain, or the proxy's forgery
+/// of it, with the server's own version and cipher lists.
+fn server_endpoint<'a>(
+    server: &'a crate::server::OriginServer,
+    forged: Option<&'a pinning_pki::chain::CertificateChain>,
+) -> ServerEndpoint<'a> {
+    ServerEndpoint {
+        chain: forged.unwrap_or(&server.chain),
+        versions: &server.versions,
+        ciphers: &server.ciphers,
     }
 }
 

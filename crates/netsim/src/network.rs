@@ -1,8 +1,21 @@
 //! The hostname→server directory.
 
 use crate::server::OriginServer;
+use pinning_pki::limits::{screen_chain, Budget, ChainDefect};
 use pinning_pki::validate::RevocationList;
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::OnceLock;
+
+/// `hostname` lowercased, the form names are keyed by; a name that is
+/// already lowercase is borrowed, not copied.
+pub(crate) fn host_key(hostname: &str) -> Cow<'_, str> {
+    if hostname.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(hostname.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(hostname)
+    }
+}
 
 /// A hostname that two servers both claimed at registration time.
 ///
@@ -24,6 +37,9 @@ pub struct DuplicateHost {
 #[derive(Debug, Default)]
 pub struct Network {
     servers: Vec<OriginServer>,
+    /// Each server's [`screen_chain`] verdict, computed on first use and
+    /// reset by every mutable access to the server.
+    screens: Vec<OnceLock<Result<(), ChainDefect>>>,
     by_host: HashMap<String, usize>,
     duplicates: Vec<DuplicateHost>,
     /// Revoked certificate serials (checked by clients that enable
@@ -58,6 +74,7 @@ impl Network {
             }
         }
         self.servers.push(server);
+        self.screens.push(OnceLock::new());
         idx
     }
 
@@ -67,24 +84,41 @@ impl Network {
         &self.duplicates
     }
 
+    /// The server index `hostname` resolves to (case-insensitively).
+    fn index_of(&self, hostname: &str) -> Option<usize> {
+        self.by_host.get(&*host_key(hostname)).copied()
+    }
+
     /// Resolves a hostname.
     pub fn resolve(&self, hostname: &str) -> Option<&OriginServer> {
-        self.by_host
-            .get(&hostname.to_ascii_lowercase())
-            .map(|&i| &self.servers[i])
+        self.index_of(hostname).map(|i| &self.servers[i])
     }
 
     /// Resolves a hostname to a mutable origin server — used by epoch
     /// evolution to swap a server's chain on reissue. Hostname claims stay
-    /// fixed; only served state may change.
+    /// fixed; only served state may change, so the server's chain screen
+    /// is computed afresh on its next use.
     pub fn resolve_mut(&mut self, hostname: &str) -> Option<&mut OriginServer> {
-        let &i = self.by_host.get(&hostname.to_ascii_lowercase())?;
+        let i = self.index_of(hostname)?;
+        self.screens[i] = OnceLock::new();
         Some(&mut self.servers[i])
     }
 
     /// Whether a hostname resolves.
     pub fn has_host(&self, hostname: &str) -> bool {
-        self.by_host.contains_key(&hostname.to_ascii_lowercase())
+        self.index_of(hostname).is_some()
+    }
+
+    /// The [`screen_chain`] verdict, under [`Budget::STANDARD`], on the
+    /// chain `hostname`'s server presents; `None` if the name does not
+    /// resolve. Each server's chain is screened once, however many
+    /// connections reach it.
+    pub fn chain_screen(&self, hostname: &str) -> Option<Result<(), ChainDefect>> {
+        let i = self.index_of(hostname)?;
+        Some(
+            *self.screens[i]
+                .get_or_init(|| screen_chain(self.servers[i].chain.certs(), &Budget::STANDARD)),
+        )
     }
 
     /// All registered servers.
@@ -94,8 +128,10 @@ impl Network {
 
     /// Mutable access to all registered servers (hostname claims are fixed
     /// at registration; this exists for post-generation passes over served
-    /// chains, e.g. certificate interning).
+    /// chains, e.g. certificate interning). Every chain is screened afresh
+    /// on its next use.
     pub fn servers_mut(&mut self) -> &mut [OriginServer] {
+        self.screens.fill_with(OnceLock::new);
         &mut self.servers
     }
 
@@ -128,6 +164,52 @@ mod tests {
         assert!(net.has_host("A.COM"), "case-insensitive");
         assert!(!net.has_host("b.com"));
         assert_eq!(net.resolve("a.com").unwrap().hostnames[0], "a.com");
+    }
+
+    #[test]
+    fn mixed_case_names_resolve_as_lowercase_names_do() {
+        let mut rng = SplitMix64::new(6);
+        let mut u = PkiUniverse::generate(&UniverseConfig::tiny(), &mut rng);
+        let mut net = Network::new();
+        net.register(server(&mut u, &mut rng, "api.Mixed.com"));
+        net.register(server(&mut u, &mut rng, "b.com"));
+        let lower: *const OriginServer = net.resolve("api.mixed.com").expect("lowercased");
+        for name in ["API.MIXED.COM", "Api.Mixed.Com", "api.Mixed.com"] {
+            assert!(std::ptr::eq(net.resolve(name).unwrap(), lower), "{name}");
+            assert!(net.has_host(name));
+            assert_eq!(net.chain_screen(name), net.chain_screen("api.mixed.com"));
+            assert!(
+                std::ptr::eq(net.resolve_mut(name).unwrap(), lower),
+                "{name}"
+            );
+        }
+        for name in ["B.COM", "b.Com"] {
+            assert_eq!(net.resolve(name).unwrap().hostnames[0], "b.com");
+        }
+        assert!(net.resolve("C.COM").is_none() && net.chain_screen("c.com").is_none());
+    }
+
+    #[test]
+    fn a_chain_swapped_through_resolve_mut_is_screened_again() {
+        let mut rng = SplitMix64::new(7);
+        let mut u = PkiUniverse::generate(&UniverseConfig::tiny(), &mut rng);
+        let mut net = Network::new();
+        net.register(server(&mut u, &mut rng, "a.com"));
+        assert_eq!(net.chain_screen("a.com"), Some(Ok(())));
+        let leaf = net.resolve("a.com").unwrap().chain.certs()[0].clone();
+        let repeated = pinning_pki::chain::CertificateChain::new(vec![leaf.clone(), leaf]);
+        net.resolve_mut("A.com").unwrap().chain = repeated.clone();
+        let fresh = screen_chain(repeated.certs(), &Budget::STANDARD);
+        assert!(fresh.is_err());
+        assert_eq!(net.chain_screen("a.com"), Some(fresh));
+        net.servers_mut()[0].chain = u.issue_server_chain(
+            &["a.com".to_string()],
+            "Org",
+            &KeyPair::generate(&mut rng),
+            398,
+            &mut rng,
+        );
+        assert_eq!(net.chain_screen("a.com"), Some(Ok(())));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! matters: the forged chain and the fact that a successful interception
 //! exposes request plaintext (§4.2.1, §4.4).
 
+use crate::network::host_key;
 use pinning_crypto::sig::KeyPair;
 use pinning_crypto::SplitMix64;
 use pinning_pki::authority::CertificateAuthority;
@@ -14,14 +15,20 @@ use pinning_pki::name::DistinguishedName;
 use pinning_pki::time::{SimTime, Validity, DAY};
 use pinning_pki::Certificate;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 
 /// A MITM proxy with its own CA.
+///
+/// A forged chain is a pure function of the proxy and the lowercased
+/// hostname (plus the upstream leaf's names): its serial is derived from
+/// the CA's own serial and the host, never from a counter. Every run that
+/// forges for a host therefore forges the same bytes, whatever order
+/// worker threads reach it in.
 #[derive(Debug)]
 pub struct MitmProxy {
-    ca: Mutex<CertificateAuthority>,
+    ca: CertificateAuthority,
     leaf_key: KeyPair,
-    forged: Mutex<HashMap<String, Arc<CertificateChain>>>,
+    forged: RwLock<HashMap<String, Arc<CertificateChain>>>,
     now: SimTime,
 }
 
@@ -36,9 +43,9 @@ impl MitmProxy {
         );
         let leaf_key = KeyPair::generate(rng);
         MitmProxy {
-            ca: Mutex::new(ca),
+            ca,
             leaf_key,
-            forged: Mutex::new(HashMap::new()),
+            forged: RwLock::default(),
             now,
         }
     }
@@ -46,24 +53,38 @@ impl MitmProxy {
     /// The proxy's CA certificate — what gets installed into the test
     /// device's root store.
     pub fn ca_cert(&self) -> Certificate {
-        self.ca.lock().expect("proxy lock poisoned").cert.clone()
+        self.ca.cert.clone()
+    }
+
+    /// The serial of the leaf forged for `host` (already lowercased).
+    fn forged_serial(&self, host: &str) -> u64 {
+        SplitMix64::new(self.ca.cert.tbs.serial)
+            .derive(&format!("mitm-leaf/{host}"))
+            .next_u64()
     }
 
     /// Forges (or returns the cached) chain for `hostname`, mimicking the
     /// upstream certificate's name coverage. Hostnames are matched
     /// case-insensitively, and every call for one host shares one chain.
+    ///
+    /// A hit takes a shared read lock and allocates nothing for lowercase
+    /// names. Two threads missing on one host both forge it, get the same
+    /// bytes, and keep whichever chain was stored first.
     pub fn forge_chain(
         &self,
         hostname: &str,
         upstream: &CertificateChain,
     ) -> Arc<CertificateChain> {
-        let key = hostname.to_ascii_lowercase();
-        // Held across forging, so concurrent callers for one host cannot
-        // issue two leaves for it.
-        let mut forged = self.forged.lock().expect("proxy lock poisoned");
-        if let Some(chain) = forged.get(&key) {
+        let key = host_key(hostname);
+        if let Some(chain) = self.forged.read().expect("proxy lock poisoned").get(&*key) {
             return Arc::clone(chain);
         }
+        let chain = Arc::new(self.forge(&key, upstream));
+        let mut forged = self.forged.write().expect("proxy lock poisoned");
+        Arc::clone(forged.entry(key.into_owned()).or_insert(chain))
+    }
+
+    fn forge(&self, host: &str, upstream: &CertificateChain) -> CertificateChain {
         // Mirror the upstream leaf's SANs so hostname checks still pass.
         let hostnames: Vec<String> = upstream
             .leaf()
@@ -74,26 +95,24 @@ impl MitmProxy {
                     l.tbs.san.clone()
                 }
             })
-            .unwrap_or_else(|| vec![hostname.to_string()]);
+            .unwrap_or_else(|| vec![host.to_string()]);
         let organization = upstream
             .leaf()
             .map(|l| l.tbs.subject.organization.clone())
             .unwrap_or_default();
-        let mut ca = self.ca.lock().expect("proxy lock poisoned");
-        let leaf = ca.issue_leaf(
+        let leaf = self.ca.issue_leaf_with_serial(
             &hostnames,
             &organization,
             &self.leaf_key,
             Validity::starting(self.now - DAY, 365 * DAY),
+            self.forged_serial(host),
         );
-        let chain = Arc::new(CertificateChain::new(vec![leaf, ca.cert.clone()]));
-        forged.insert(key, Arc::clone(&chain));
-        chain
+        CertificateChain::new(vec![leaf, self.ca.cert.clone()])
     }
 
     /// Number of distinct hostnames forged so far.
     pub fn forged_count(&self) -> usize {
-        self.forged.lock().expect("proxy lock poisoned").len()
+        self.forged.read().expect("proxy lock poisoned").len()
     }
 }
 
@@ -155,6 +174,13 @@ mod tests {
             "one shared chain per host"
         );
         assert_eq!(proxy.forged_count(), 1);
+        let d = proxy.forge_chain("v2.cdn.site.com", &upstream);
+        assert_ne!(
+            a.leaf().unwrap().tbs.serial,
+            d.leaf().unwrap().tbs.serial,
+            "each host gets its own serial"
+        );
+        assert_eq!(proxy.forged_count(), 2);
     }
 
     #[test]

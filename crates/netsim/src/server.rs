@@ -31,8 +31,8 @@ impl OriginServer {
             hostnames,
             organization,
             chain,
-            versions: vec![TlsVersion::V1_2, TlsVersion::V1_3],
-            ciphers: CipherSuite::typical_server_list(),
+            versions: TlsVersion::MODERN.to_vec(),
+            ciphers: CipherSuite::typical_server_list().to_vec(),
             reliability: 0.995,
             response_bytes: 4096,
         }

@@ -235,18 +235,28 @@ impl Certificate {
     /// The certificate's DER-like encoding as shared bytes, computed once
     /// per distinct certificate. The zero-copy form of [`Certificate::to_der`].
     pub fn der_bytes(&self) -> Arc<[u8]> {
+        Arc::clone(self.der_cell())
+    }
+
+    /// The length of [`Certificate::der_bytes`], read without sharing the
+    /// bytes out (what a handshake needs to size its Certificate message).
+    pub fn der_len(&self) -> usize {
+        self.der_cell().len()
+    }
+
+    fn der_cell(&self) -> &Arc<[u8]> {
         self.debug_assert_cache_fresh();
         if let Some(der) = self.cache.der.get() {
             cache::CERT_DER.hit();
-            return Arc::clone(der);
+            return der;
         }
         cache::CERT_DER.miss();
-        Arc::clone(self.cache.der.get_or_init(|| self.encode_der().into()))
+        self.cache.der.get_or_init(|| self.encode_der().into())
     }
 
     /// DER-like encoding of the whole certificate.
     pub fn to_der(&self) -> Vec<u8> {
-        self.der_bytes().to_vec()
+        self.der_cell().to_vec()
     }
 
     /// Parses a certificate from its DER-like encoding under
@@ -328,7 +338,7 @@ impl Certificate {
         *self
             .cache
             .fingerprint
-            .get_or_init(|| sha256(&self.der_bytes()))
+            .get_or_init(|| sha256(self.der_cell()))
     }
 
     /// SHA-256 of the SubjectPublicKeyInfo (what `sha256/...` pins commit to).
@@ -462,6 +472,8 @@ mod tests {
             assert_eq!(c.spki_sha1(), a.spki_sha1());
         }
         assert_eq!(&*a.der_bytes(), der.as_slice());
+        assert_eq!(sample_cert(40).der_len(), der.len(), "cold cell");
+        assert_eq!(a.der_len(), der.len(), "warm cell");
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::store::RootStore;
 use crate::time::SimTime;
 use pinning_resilience::{Deadline, DeadlineExceeded};
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::{OnceLock, RwLock};
 
 /// Work units charged per certificate for screening, expiry, and linkage
@@ -305,7 +306,7 @@ fn validate_chain_impl(
 /// `tbs` *and* signature bytes) or reduced to the only part validation can
 /// observe: the root store enters through its content id, the CRL through
 /// "is the leaf's serial revoked".
-#[derive(Debug, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq)]
 struct ValidationKey {
     store: u64,
     chain: Box<[[u8; 32]]>,
@@ -313,6 +314,20 @@ struct ValidationKey {
     now: u64,
     /// `check_hostname`, `check_expiry`, `check_revocation`, leaf revoked.
     flags: [bool; 4],
+}
+
+impl Hash for ValidationKey {
+    /// Hashes each fingerprint's first eight bytes, which a SHA-256 spreads
+    /// as well as all 32, so a probe hashes less than half the key's bytes;
+    /// `eq` still compares every byte. The flags are left out: keys that
+    /// differ only there are rare and still compare unequal.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.store ^ self.now);
+        for fp in self.chain.iter() {
+            state.write_u64(u64::from_le_bytes(fp[..8].try_into().expect("8 bytes")));
+        }
+        state.write(self.hostname.as_bytes());
+    }
 }
 
 impl ValidationKey {

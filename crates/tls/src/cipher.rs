@@ -101,42 +101,50 @@ impl CipherSuite {
     }
 
     /// A modern client offer list (no weak suites) covering 1.2 + 1.3.
-    pub fn modern_client_list() -> Vec<CipherSuite> {
-        vec![
-            CipherSuite::TLS_AES_128_GCM_SHA256,
-            CipherSuite::TLS_AES_256_GCM_SHA384,
-            CipherSuite::TLS_CHACHA20_POLY1305_SHA256,
-            CipherSuite::TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256,
-            CipherSuite::TLS_ECDHE_RSA_WITH_AES_256_GCM_SHA384,
-            CipherSuite::TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256,
-        ]
+    pub fn modern_client_list() -> &'static [CipherSuite] {
+        &MODERN_CLIENT[..6]
     }
 
     /// A permissive legacy offer list that *advertises* weak suites — the
     /// behaviour Table 8 counts against apps.
-    pub fn legacy_client_list() -> Vec<CipherSuite> {
-        let mut list = Self::modern_client_list();
-        list.extend([
-            CipherSuite::TLS_RSA_WITH_AES_128_CBC_SHA,
-            CipherSuite::TLS_RSA_WITH_3DES_EDE_CBC_SHA,
-            CipherSuite::TLS_RSA_WITH_RC4_128_SHA,
-            CipherSuite::TLS_RSA_EXPORT_WITH_DES40_CBC_SHA,
-        ]);
-        list
+    pub fn legacy_client_list() -> &'static [CipherSuite] {
+        &MODERN_CLIENT
     }
 
     /// A typical server support list (modern suites plus CBC fallbacks; real
     /// servers rarely *negotiate* weak suites even when clients offer them).
-    pub fn typical_server_list() -> Vec<CipherSuite> {
-        let mut list = Self::modern_client_list();
-        list.extend([
-            CipherSuite::TLS_ECDHE_RSA_WITH_CHACHA20_POLY1305_SHA256,
-            CipherSuite::TLS_RSA_WITH_AES_128_CBC_SHA,
-            CipherSuite::TLS_RSA_WITH_AES_256_CBC_SHA,
-        ]);
-        list
+    pub fn typical_server_list() -> &'static [CipherSuite] {
+        &TYPICAL_SERVER
     }
 }
+
+/// The modern client offer, followed by the four suites only the legacy
+/// offer adds.
+const MODERN_CLIENT: [CipherSuite; 10] = [
+    CipherSuite::TLS_AES_128_GCM_SHA256,
+    CipherSuite::TLS_AES_256_GCM_SHA384,
+    CipherSuite::TLS_CHACHA20_POLY1305_SHA256,
+    CipherSuite::TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256,
+    CipherSuite::TLS_ECDHE_RSA_WITH_AES_256_GCM_SHA384,
+    CipherSuite::TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256,
+    CipherSuite::TLS_RSA_WITH_AES_128_CBC_SHA,
+    CipherSuite::TLS_RSA_WITH_3DES_EDE_CBC_SHA,
+    CipherSuite::TLS_RSA_WITH_RC4_128_SHA,
+    CipherSuite::TLS_RSA_EXPORT_WITH_DES40_CBC_SHA,
+];
+
+/// The modern client offer plus CBC fallbacks.
+const TYPICAL_SERVER: [CipherSuite; 9] = [
+    CipherSuite::TLS_AES_128_GCM_SHA256,
+    CipherSuite::TLS_AES_256_GCM_SHA384,
+    CipherSuite::TLS_CHACHA20_POLY1305_SHA256,
+    CipherSuite::TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256,
+    CipherSuite::TLS_ECDHE_RSA_WITH_AES_256_GCM_SHA384,
+    CipherSuite::TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256,
+    CipherSuite::TLS_ECDHE_RSA_WITH_CHACHA20_POLY1305_SHA256,
+    CipherSuite::TLS_RSA_WITH_AES_128_CBC_SHA,
+    CipherSuite::TLS_RSA_WITH_AES_256_CBC_SHA,
+];
 
 impl core::fmt::Display for CipherSuite {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
@@ -185,6 +193,16 @@ mod tests {
     }
 
     #[test]
+    fn legacy_and_server_lists_extend_the_modern_offer() {
+        let modern = CipherSuite::modern_client_list();
+        assert_eq!(modern.len(), 6);
+        assert_eq!(&CipherSuite::legacy_client_list()[..6], modern);
+        assert_eq!(&CipherSuite::typical_server_list()[..6], modern);
+        assert_eq!(CipherSuite::legacy_client_list().len(), 10);
+        assert_eq!(CipherSuite::typical_server_list().len(), 9);
+    }
+
+    #[test]
     fn version_gating() {
         assert!(CipherSuite::TLS_AES_128_GCM_SHA256.valid_for(TlsVersion::V1_3));
         assert!(!CipherSuite::TLS_AES_128_GCM_SHA256.valid_for(TlsVersion::V1_2));
@@ -196,7 +214,7 @@ mod tests {
     fn selection_respects_server_preference() {
         let client = CipherSuite::legacy_client_list();
         let server = CipherSuite::typical_server_list();
-        let picked = select_cipher(&client, &server, TlsVersion::V1_2).unwrap();
+        let picked = select_cipher(client, server, TlsVersion::V1_2).unwrap();
         assert_eq!(picked, CipherSuite::TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256);
         assert!(!picked.is_weak(), "servers never pick a weak suite here");
     }
@@ -205,14 +223,14 @@ mod tests {
     fn selection_fails_when_no_overlap() {
         let client = [CipherSuite::TLS_RSA_WITH_RC4_128_MD5];
         let server = CipherSuite::typical_server_list();
-        assert_eq!(select_cipher(&client, &server, TlsVersion::V1_2), None);
+        assert_eq!(select_cipher(&client, server, TlsVersion::V1_2), None);
     }
 
     #[test]
     fn tls13_selection_picks_13_suite() {
         let client = CipherSuite::modern_client_list();
         let server = CipherSuite::typical_server_list();
-        let picked = select_cipher(&client, &server, TlsVersion::V1_3).unwrap();
+        let picked = select_cipher(client, server, TlsVersion::V1_3).unwrap();
         assert!(picked.valid_for(TlsVersion::V1_3));
     }
 }

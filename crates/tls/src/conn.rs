@@ -13,30 +13,31 @@ use pinning_pki::chain::CertificateChain;
 use pinning_pki::store::RootStore;
 use pinning_pki::time::SimTime;
 use pinning_pki::validate::{RevocationList, ValidationMemo};
-use pinning_pki::ValidationError;
+use pinning_pki::{Certificate, ValidationError};
 
-/// Client-side connection configuration.
+/// Client-side connection configuration. Every list and pin set is
+/// borrowed, so building one per connection allocates nothing.
 #[derive(Debug, Clone)]
-pub struct ClientConfig {
+pub struct ClientConfig<'a> {
     /// Versions offered in the ClientHello.
-    pub offered_versions: Vec<TlsVersion>,
+    pub offered_versions: &'a [TlsVersion],
     /// Cipher suites offered in the ClientHello.
-    pub offered_ciphers: Vec<CipherSuite>,
+    pub offered_ciphers: &'a [CipherSuite],
     /// Whether to send SNI (99% of real connections do).
     pub send_sni: bool,
     /// The TLS stack in use (determines failure wire behaviour and
     /// hookability).
     pub library: TlsLibrary,
     /// Certificate policy (system validation and/or pins).
-    pub policy: CertPolicy,
+    pub policy: CertPolicy<'a>,
 }
 
-impl ClientConfig {
+impl ClientConfig<'_> {
     /// A typical modern client: TLS 1.2+1.3, modern ciphers, SNI, system
     /// validation via `library`.
     pub fn modern(library: TlsLibrary) -> Self {
         ClientConfig {
-            offered_versions: vec![TlsVersion::V1_2, TlsVersion::V1_3],
+            offered_versions: &TlsVersion::MODERN,
             offered_ciphers: CipherSuite::modern_client_list(),
             send_sni: true,
             library,
@@ -45,15 +46,16 @@ impl ClientConfig {
     }
 }
 
-/// Server-side endpoint parameters for one handshake.
-#[derive(Debug, Clone)]
+/// Server-side endpoint parameters for one handshake, borrowed from the
+/// server that presents them.
+#[derive(Debug, Clone, Copy)]
 pub struct ServerEndpoint<'a> {
     /// Chain presented in the Certificate message.
     pub chain: &'a CertificateChain,
     /// Versions the server supports.
-    pub versions: Vec<TlsVersion>,
+    pub versions: &'a [TlsVersion],
     /// Cipher suites the server supports, in preference order.
-    pub ciphers: Vec<CipherSuite>,
+    pub ciphers: &'a [CipherSuite],
 }
 
 impl<'a> ServerEndpoint<'a> {
@@ -61,7 +63,7 @@ impl<'a> ServerEndpoint<'a> {
     pub fn modern(chain: &'a CertificateChain) -> Self {
         ServerEndpoint {
             chain,
-            versions: vec![TlsVersion::V1_2, TlsVersion::V1_3],
+            versions: &TlsVersion::MODERN,
             ciphers: CipherSuite::typical_server_list(),
         }
     }
@@ -133,6 +135,12 @@ pub struct HandshakeOutcome {
     pub result: Result<Session, HandshakeError>,
 }
 
+/// Wire events of a session that completes and carries one request and
+/// one response: TCP open, the client and server hellos, the certificate
+/// flight, both Finished flights, the two data records, close_notify and
+/// FIN. [`establish`] sizes each transcript for them up front.
+const SESSION_EVENTS: usize = 10;
+
 /// Drives a full handshake between `client` and `server` for `hostname`,
 /// evaluating the client's certificate policy against `device_store`
 /// (through the device's validation `memo`, if it has one).
@@ -141,7 +149,7 @@ pub struct HandshakeOutcome {
 /// from — including TLS 1.3's disguised records and per-library failure
 /// signals.
 pub fn establish(
-    client: &ClientConfig,
+    client: &ClientConfig<'_>,
     server: &ServerEndpoint<'_>,
     hostname: &str,
     now: SimTime,
@@ -149,15 +157,18 @@ pub fn establish(
     crl: &RevocationList,
     memo: Option<&ValidationMemo>,
 ) -> HandshakeOutcome {
-    let mut t = ConnectionTranscript::new();
     let hello = ClientHello {
-        sni: client.send_sni.then(|| hostname.to_string()),
-        offered_versions: client.offered_versions.clone(),
-        offered_ciphers: client.offered_ciphers.clone(),
+        sni: client.send_sni.then_some(hostname),
+        offered_versions: client.offered_versions,
+        offered_ciphers: client.offered_ciphers,
     };
-    t.sni = hello.sni.clone();
-    t.offered_versions = hello.offered_versions.clone();
-    t.offered_ciphers = hello.offered_ciphers.clone();
+    let mut t = ConnectionTranscript {
+        sni: hello.sni.map(str::to_string),
+        offered_versions: hello.offered_versions.to_vec(),
+        offered_ciphers: hello.offered_ciphers.to_vec(),
+        negotiated: None,
+        events: Vec::with_capacity(SESSION_EVENTS),
+    };
 
     t.push_tcp(TcpEvent::Established);
     t.push_record(RecordEvent::handshake(
@@ -166,7 +177,7 @@ pub fn establish(
     ));
 
     // Version negotiation.
-    let Some(version) = negotiate(&client.offered_versions, &server.versions) else {
+    let Some(version) = negotiate(client.offered_versions, server.versions) else {
         t.push_record(RecordEvent::plaintext_alert(
             Direction::ServerToClient,
             AlertLevel::Fatal,
@@ -182,7 +193,7 @@ pub fn establish(
     };
 
     // Cipher negotiation.
-    let Some(cipher) = select_cipher(&client.offered_ciphers, &server.ciphers, version) else {
+    let Some(cipher) = select_cipher(client.offered_ciphers, server.ciphers, version) else {
         t.push_record(RecordEvent::plaintext_alert(
             Direction::ServerToClient,
             AlertLevel::Fatal,
@@ -205,12 +216,7 @@ pub fn establish(
     ));
 
     // Certificate message: plaintext under ≤1.2, encrypted under 1.3.
-    let chain_len: usize = server
-        .chain
-        .certs()
-        .iter()
-        .map(|c| c.der_bytes().len())
-        .sum();
+    let chain_len: usize = server.chain.certs().iter().map(Certificate::der_len).sum();
     if version.disguises_encrypted_records() {
         // EncryptedExtensions + Certificate + CertVerify + Finished, bundled.
         t.push_record(RecordEvent::encrypted(
@@ -392,7 +398,7 @@ mod tests {
         }
     }
 
-    fn run(f: &Fixture, client: &ClientConfig, chain: &CertificateChain) -> HandshakeOutcome {
+    fn run(f: &Fixture, client: &ClientConfig<'_>, chain: &CertificateChain) -> HandshakeOutcome {
         let server = ServerEndpoint::modern(chain);
         establish(
             client,
@@ -423,7 +429,7 @@ mod tests {
         let f = fixture();
         let client = ClientConfig::modern(TlsLibrary::Conscrypt);
         let mut server = ServerEndpoint::modern(&f.chain);
-        server.versions = vec![TlsVersion::V1_2];
+        server.versions = &[TlsVersion::V1_2];
         let out = establish(
             &client,
             &server,
@@ -442,7 +448,7 @@ mod tests {
     fn version_mismatch_yields_protocol_alert_not_pin_signal() {
         let f = fixture();
         let mut client = ClientConfig::modern(TlsLibrary::Conscrypt);
-        client.offered_versions = vec![TlsVersion::V1_0];
+        client.offered_versions = &[TlsVersion::V1_0];
         let out = run(&f, &client, &f.chain);
         assert_eq!(out.result, Err(HandshakeError::NoCommonVersion));
         let alerts = out.transcript.plaintext_alerts();
@@ -455,10 +461,9 @@ mod tests {
     #[test]
     fn pinned_app_rejects_mitm_conscrypt_during_handshake() {
         let f = fixture();
+        let pins = PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(&f.root_cert))]);
         let mut client = ClientConfig::modern(TlsLibrary::Conscrypt);
-        client.policy = CertPolicy::pinned(PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(
-            &f.root_cert,
-        ))]));
+        client.policy = CertPolicy::pinned(&pins);
         let out = run(&f, &client, &f.mitm_chain);
         assert_eq!(out.result, Err(HandshakeError::PinRejected));
         // TLS 1.3: rejection appears as one encrypted (disguised) alert of
@@ -472,10 +477,9 @@ mod tests {
     #[test]
     fn pinned_app_rejects_mitm_okhttp_post_handshake() {
         let f = fixture();
+        let pins = PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(&f.root_cert))]);
         let mut client = ClientConfig::modern(TlsLibrary::OkHttp);
-        client.policy = CertPolicy::pinned(PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(
-            &f.root_cert,
-        ))]));
+        client.policy = CertPolicy::pinned(&pins);
         let out = run(&f, &client, &f.mitm_chain);
         assert_eq!(out.result, Err(HandshakeError::PinRejected));
         // OkHttp completes the handshake (Finished seen), then RSTs.
@@ -488,10 +492,9 @@ mod tests {
     #[test]
     fn pinned_app_accepts_genuine_chain_and_sends_data() {
         let f = fixture();
+        let pins = PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(&f.root_cert))]);
         let mut client = ClientConfig::modern(TlsLibrary::OkHttp);
-        client.policy = CertPolicy::pinned(PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(
-            &f.root_cert,
-        ))]));
+        client.policy = CertPolicy::pinned(&pins);
         let mut out = run(&f, &client, &f.chain);
         let session = out.result.unwrap();
         session.send_client_data(&mut out.transcript, 900);
@@ -499,6 +502,34 @@ mod tests {
         session.close(&mut out.transcript);
         assert!(out.transcript.client_appdata_bytes() >= 900);
         assert!(out.transcript.client_fin());
+    }
+
+    #[test]
+    fn a_full_session_fills_the_presized_transcript_exactly() {
+        let f = fixture();
+        let client = ClientConfig::modern(TlsLibrary::OkHttp);
+        for versions in [&TlsVersion::MODERN[..], &[TlsVersion::V1_2]] {
+            let server = ServerEndpoint {
+                versions,
+                ..ServerEndpoint::modern(&f.chain)
+            };
+            let crl = RevocationList::empty();
+            let mut out = establish(
+                &client,
+                &server,
+                "api.bank.com",
+                f.now,
+                &f.store,
+                &crl,
+                None,
+            );
+            let session = out.result.unwrap();
+            session.send_client_data(&mut out.transcript, 900);
+            session.send_server_data(&mut out.transcript, 4000);
+            session.close(&mut out.transcript);
+            assert_eq!(out.transcript.events.len(), SESSION_EVENTS, "{versions:?}");
+            assert_eq!(out.transcript.events.capacity(), SESSION_EVENTS);
+        }
     }
 
     #[test]
@@ -531,10 +562,9 @@ mod tests {
     #[test]
     fn silent_fin_library_leaves_no_alert() {
         let f = fixture();
+        let pins = PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(&f.root_cert))]);
         let mut client = ClientConfig::modern(TlsLibrary::AfNetworking);
-        client.policy = CertPolicy::pinned(PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(
-            &f.root_cert,
-        ))]));
+        client.policy = CertPolicy::pinned(&pins);
         let out = run(&f, &client, &f.mitm_chain);
         assert_eq!(out.result, Err(HandshakeError::PinRejected));
         assert!(out.transcript.plaintext_alerts().is_empty());

@@ -7,18 +7,18 @@ use crate::version::TlsVersion;
 ///
 /// The paper reports that 99% of captured TLS traffic carried a non-empty
 /// SNI (§4.2.2), which is what lets flows be keyed by destination hostname.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClientHello {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClientHello<'a> {
     /// Server Name Indication, if the client sends one.
-    pub sni: Option<String>,
+    pub sni: Option<&'a str>,
     /// Offered protocol versions (supported_versions extension / legacy
     /// version field).
-    pub offered_versions: Vec<TlsVersion>,
+    pub offered_versions: &'a [TlsVersion],
     /// Offered cipher suites, in client preference order.
-    pub offered_ciphers: Vec<CipherSuite>,
+    pub offered_ciphers: &'a [CipherSuite],
 }
 
-impl ClientHello {
+impl ClientHello<'_> {
     /// Whether any offered suite is on the bad-cipher list (Table 8's
     /// per-connection predicate).
     pub fn advertises_weak_cipher(&self) -> bool {
@@ -29,7 +29,7 @@ impl ClientHello {
     pub fn wire_len(&self) -> usize {
         let base = 180; // random, session id, extensions scaffolding
         base + self.offered_ciphers.len() * 2
-            + self.sni.as_ref().map_or(0, |s| s.len() + 9)
+            + self.sni.map_or(0, |s| s.len() + 9)
             + self.offered_versions.len() * 2
     }
 }
@@ -57,8 +57,8 @@ mod tests {
     #[test]
     fn weak_advertisement() {
         let hello = ClientHello {
-            sni: Some("api.example.com".into()),
-            offered_versions: vec![TlsVersion::V1_2, TlsVersion::V1_3],
+            sni: Some("api.example.com"),
+            offered_versions: &TlsVersion::MODERN,
             offered_ciphers: CipherSuite::legacy_client_list(),
         };
         assert!(hello.advertises_weak_cipher());
@@ -73,12 +73,12 @@ mod tests {
     fn wire_len_grows_with_content() {
         let small = ClientHello {
             sni: None,
-            offered_versions: vec![TlsVersion::V1_2],
-            offered_ciphers: vec![CipherSuite::TLS_AES_128_GCM_SHA256],
+            offered_versions: &[TlsVersion::V1_2],
+            offered_ciphers: &[CipherSuite::TLS_AES_128_GCM_SHA256],
         };
         let big = ClientHello {
-            sni: Some("a-very-long-hostname.cdn.example.com".into()),
-            offered_versions: vec![TlsVersion::V1_2, TlsVersion::V1_3],
+            sni: Some("a-very-long-hostname.cdn.example.com"),
+            offered_versions: &TlsVersion::MODERN,
             offered_ciphers: CipherSuite::legacy_client_list(),
         };
         assert!(big.wire_len() > small.wire_len());

@@ -30,9 +30,10 @@ impl VerifyDecision {
     }
 }
 
-/// An app's certificate policy for one destination.
+/// An app's certificate policy for one destination. The pin set is
+/// borrowed from the rule that declares it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CertPolicy {
+pub struct CertPolicy<'a> {
     /// Run standard chain validation against the device root store.
     /// Virtually always true; §5.3.4 found no app relying on pins alone.
     pub system_validation: bool,
@@ -40,10 +41,10 @@ pub struct CertPolicy {
     /// verification — the Stone et al. bug class).
     pub validation_options: ValidationOptions,
     /// Pins to enforce, if the app pins this destination.
-    pub pins: Option<PinSet>,
+    pub pins: Option<&'a PinSet>,
 }
 
-impl CertPolicy {
+impl<'a> CertPolicy<'a> {
     /// The platform default: full system validation, no pins.
     pub fn system_default() -> Self {
         CertPolicy {
@@ -54,7 +55,7 @@ impl CertPolicy {
     }
 
     /// Correct pinning: system validation plus a pin set.
-    pub fn pinned(pins: PinSet) -> Self {
+    pub fn pinned(pins: &'a PinSet) -> Self {
         CertPolicy {
             system_validation: true,
             validation_options: ValidationOptions::default(),
@@ -64,7 +65,7 @@ impl CertPolicy {
 
     /// Whether the policy pins.
     pub fn is_pinning(&self) -> bool {
-        self.pins.as_ref().is_some_and(|p| !p.is_empty())
+        self.pins.is_some_and(|p| !p.is_empty())
     }
 
     /// Evaluates a presented chain.
@@ -90,7 +91,7 @@ impl CertPolicy {
                 return VerifyDecision::RejectSystem(e);
             }
         }
-        if let Some(pins) = &self.pins {
+        if let Some(pins) = self.pins {
             if !pins.is_empty() && !pins.matches_chain(chain) {
                 return VerifyDecision::RejectPin;
             }
@@ -196,7 +197,8 @@ mod tests {
     fn pinned_policy_rejects_mitm_even_with_installed_ca() {
         let w = world();
         let pin = SpkiPin::sha256_of(&w.chain[1]); // pin the real root
-        let p = CertPolicy::pinned(PinSet::from_pins(vec![Pin::Spki(pin)]));
+        let pins = PinSet::from_pins(vec![Pin::Spki(pin)]);
+        let p = CertPolicy::pinned(&pins);
         assert_eq!(
             p.evaluate(
                 &w.mitm_chain,
@@ -225,7 +227,8 @@ mod tests {
     fn pinning_still_runs_standard_validation() {
         let w = world();
         let pin = SpkiPin::sha256_of(&w.chain[1]);
-        let p = CertPolicy::pinned(PinSet::from_pins(vec![Pin::Spki(pin)]));
+        let pins = PinSet::from_pins(vec![Pin::Spki(pin)]);
+        let p = CertPolicy::pinned(&pins);
         // Hostname mismatch must still be caught (§5.3.4).
         let d = p.evaluate(
             &w.chain,
@@ -263,7 +266,8 @@ mod tests {
 
     #[test]
     fn empty_pinset_does_not_pin() {
-        let p = CertPolicy::pinned(PinSet::new());
+        let pins = PinSet::new();
+        let p = CertPolicy::pinned(&pins);
         assert!(!p.is_pinning());
     }
 }

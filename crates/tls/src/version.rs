@@ -22,6 +22,10 @@ impl TlsVersion {
         TlsVersion::V1_3,
     ];
 
+    /// What a modern client offers and a modern server supports: 1.2 and
+    /// 1.3.
+    pub const MODERN: [TlsVersion; 2] = [TlsVersion::V1_2, TlsVersion::V1_3];
+
     /// Whether encrypted records on this version hide their content type
     /// (the TLS 1.3 middlebox-compatibility disguise, §4.2.2).
     pub fn disguises_encrypted_records(self) -> bool {

@@ -98,11 +98,11 @@ fn negotiated_version_is_offered_by_both() {
         let e = env(seed);
         let mut client = ClientConfig::modern(TlsLibrary::OkHttp);
         if !client_13 {
-            client.offered_versions = vec![TlsVersion::V1_2];
+            client.offered_versions = &[TlsVersion::V1_2];
         }
         let mut server = ServerEndpoint::modern(&e.chain);
         if !server_13 {
-            server.versions = vec![TlsVersion::V1_2];
+            server.versions = &[TlsVersion::V1_2];
         }
         let out = establish(
             &client,
@@ -138,10 +138,9 @@ fn pin_rejection_independent_of_library_outcome() {
             &mut other_rng,
             SimTime(0),
         );
+        let pins = PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(&other.cert))]);
         let mut client = ClientConfig::modern(lib);
-        client.policy = CertPolicy::pinned(PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(
-            &other.cert,
-        ))]));
+        client.policy = CertPolicy::pinned(&pins);
         let server = ServerEndpoint::modern(&e.chain);
         let out = establish(
             &client,

@@ -75,4 +75,13 @@ fn main() {
 
     println!("{report}");
     eprintln!("{}", results.render_run_health());
+
+    // Freeing the results would walk every certificate, server, log entry
+    // and app of the world one allocation at a time, most of it in the
+    // PKI universe and the CT logs: a visible share of a paper-scale run
+    // (EXPERIMENTS.md, "Per-connection work off the dynamic path"). The
+    // process is about to exit and the OS reclaims the memory at once,
+    // so flush what was printed and skip the walk.
+    std::io::Write::flush(&mut std::io::stdout()).expect("stdout flushes");
+    std::mem::forget(results);
 }

@@ -45,11 +45,12 @@ fn main() {
     let forged = proxy.forge_chain("api.bank.example", &genuine);
 
     // Two clients: one pinning the genuine root, one not.
+    let root_pins = PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(
+        genuine.top().expect("chain has a root"),
+    ))]);
     let unpinned = ClientConfig::modern(TlsLibrary::OkHttp);
     let mut pinned = ClientConfig::modern(TlsLibrary::OkHttp);
-    pinned.policy = CertPolicy::pinned(PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(
-        genuine.top().expect("chain has a root"),
-    ))]));
+    pinned.policy = CertPolicy::pinned(&root_pins);
 
     let crl = RevocationList::empty();
     for (client_label, client) in [("unpinned app", &unpinned), ("pinned app", &pinned)] {

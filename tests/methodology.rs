@@ -21,6 +21,8 @@ struct Lab {
     proxy: MitmProxy,
     device_store: RootStore,
     chain: CertificateChain,
+    /// A pin on `chain`'s root.
+    root_pins: PinSet,
 }
 
 fn lab() -> Lab {
@@ -35,7 +37,11 @@ fn lab() -> Lab {
         device_store.add(root.clone());
     }
     device_store.add(proxy.ca_cert());
+    let root_pins = PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(
+        chain.top().expect("root"),
+    ))]);
     Lab {
+        root_pins,
         universe,
         proxy,
         device_store,
@@ -43,7 +49,7 @@ fn lab() -> Lab {
     }
 }
 
-fn flow_of(lab: &Lab, client: &ClientConfig, mitm: bool, with_data: bool) -> FlowRecord {
+fn flow_of(lab: &Lab, client: &ClientConfig<'_>, mitm: bool, with_data: bool) -> FlowRecord {
     let forged = mitm.then(|| lab.proxy.forge_chain("api.lab.example", &lab.chain));
     let endpoint = ServerEndpoint::modern(forged.as_deref().unwrap_or(&lab.chain));
     let mut out = establish(
@@ -72,11 +78,9 @@ fn flow_of(lab: &Lab, client: &ClientConfig, mitm: bool, with_data: bool) -> Flo
     }
 }
 
-fn pinned_client(lab: &Lab) -> ClientConfig {
+fn pinned_client(lab: &Lab) -> ClientConfig<'_> {
     let mut c = ClientConfig::modern(TlsLibrary::OkHttp);
-    c.policy = CertPolicy::pinned(PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(
-        lab.chain.top().expect("root"),
-    ))]));
+    c.policy = CertPolicy::pinned(&lab.root_pins);
     c
 }
 
@@ -203,11 +207,12 @@ fn rogue_oem_root_defeated_only_by_pinning() {
         CertificateChain::new(vec![leaf, ca.cert.clone()])
     };
 
+    let root_pins = PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(
+        chain.top().expect("root"),
+    ))]);
     let unpinned = ClientConfig::modern(TlsLibrary::Conscrypt);
     let mut pinned = unpinned.clone();
-    pinned.policy = CertPolicy::pinned(PinSet::from_pins(vec![Pin::Spki(SpkiPin::sha256_of(
-        chain.top().expect("root"),
-    ))]));
+    pinned.policy = CertPolicy::pinned(&root_pins);
 
     let server = ServerEndpoint::modern(&forged);
     // Unpinned app: the rogue-rooted chain is *valid* on the OEM device.

@@ -10,10 +10,13 @@
 //! Each run owns its memo and reports that memo's traffic, so these tests
 //! share no state and run in parallel without a lock.
 
+use app_tls_pinning::analysis::dynamics::pipeline::DynamicEnv;
 use app_tls_pinning::core::{Study, StudyConfig, StudyResults};
 use app_tls_pinning::epoch::{EpochConfig, Evolution};
 use app_tls_pinning::pki::cache::CacheStat;
 use app_tls_pinning::pki::ValidationMemo;
+use app_tls_pinning::store::config::WorldConfig;
+use app_tls_pinning::store::world::World;
 use std::sync::Arc;
 
 #[test]
@@ -56,20 +59,13 @@ fn twice_on_one_memo(config: StudyConfig) -> (StudyResults, StudyResults) {
 
 #[test]
 fn warm_global_caches_do_not_leak_into_results() {
-    // At the default two workers the MITM proxy's forged-leaf serials
-    // follow scheduling, so the warm memo is only partly hit: memo hits
-    // and fresh validations mix under concurrency, and the report must
-    // not show which is which.
     let (first, second) = twice_on_one_memo(StudyConfig::tiny(0xAB03));
     assert_eq!(first.render_all(), second.render_all());
 }
 
-#[test]
-fn a_warm_memo_serves_an_identical_single_worker_run_entirely() {
-    // One worker issues forged leaves in the same order in both runs, so
-    // the second run asks only for verdicts the first one stored.
-    let mut config = StudyConfig::tiny(0xAB03);
-    config.threads = 1;
+/// Asserts that the second of two identical runs on one memo asked only
+/// for verdicts the first one stored.
+fn assert_served_by_warm_memo(config: StudyConfig) {
     let (first, second) = twice_on_one_memo(config);
     assert_eq!(first.render_all(), second.render_all());
     let warm = second.health.validation_memo.expect("the run had a memo");
@@ -77,6 +73,84 @@ fn a_warm_memo_serves_an_identical_single_worker_run_entirely() {
         warm.hits > 0 && warm.misses == 0,
         "second run must be served entirely by the warm memo: {warm:?}"
     );
+}
+
+#[test]
+fn a_warm_memo_serves_an_identical_single_worker_run_entirely() {
+    let mut config = StudyConfig::tiny(0xAB03);
+    config.threads = 1;
+    assert_served_by_warm_memo(config);
+}
+
+#[test]
+fn a_warm_memo_serves_an_identical_two_worker_run_entirely() {
+    // Forged chains are a pure function of the proxy and the host, so the
+    // validations two workers ask for do not depend on which of them
+    // reaches a host first.
+    let mut config = StudyConfig::tiny(0xAB03);
+    config.threads = 2;
+    assert_served_by_warm_memo(config);
+}
+
+/// `hosts` forged by `env`'s proxy from their servers in `world`, as DER.
+fn forged_ders(env: &DynamicEnv<'_>, world: &World, hosts: &[String]) -> Vec<Vec<Vec<u8>>> {
+    hosts
+        .iter()
+        .map(|host| {
+            let upstream = &world.network.resolve(host).expect("registered").chain;
+            let forged = env.proxy().forge_chain(host, upstream);
+            forged
+                .certs()
+                .iter()
+                .map(|c| c.der_bytes().to_vec())
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn forged_chains_are_equal_across_environments_and_thread_counts() {
+    let world = World::generate(WorldConfig::tiny(0xAB07));
+    let env = || {
+        DynamicEnv::new(
+            &world.network,
+            world.universe.aosp_oem.clone(),
+            world.universe.ios.clone(),
+            world.now,
+            world.config.seed,
+        )
+    };
+    let mut hosts: Vec<String> = world
+        .network
+        .servers()
+        .iter()
+        .flat_map(|s| s.hostnames.iter().cloned())
+        .collect();
+    hosts.sort();
+    hosts.dedup();
+    assert!(hosts.len() > 10, "a tiny world serves many hosts");
+
+    let sequential = forged_ders(&env(), &world, &hosts);
+    // Two workers forging disjoint halves on one proxy, one of them in
+    // reverse order and under uppercased names.
+    let shared = env();
+    let forge = |host: &str| {
+        let upstream = &world.network.resolve(host).expect("registered").chain;
+        shared.proxy().forge_chain(host, upstream);
+    };
+    let evens: Vec<&String> = hosts.iter().step_by(2).collect();
+    let odds: Vec<&String> = hosts.iter().skip(1).step_by(2).collect();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            evens
+                .iter()
+                .rev()
+                .for_each(|h| forge(&h.to_ascii_uppercase()))
+        });
+        s.spawn(|| odds.iter().for_each(|h| forge(h)));
+    });
+    assert_eq!(shared.proxy().forged_count(), hosts.len());
+    assert_eq!(forged_ders(&shared, &world, &hosts), sequential);
 }
 
 /// The run-health chain-validation counts of a tiny study.
