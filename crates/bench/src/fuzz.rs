@@ -292,13 +292,25 @@ pub fn all_targets() -> Vec<FuzzTarget> {
         FuzzTarget {
             name: "der",
             corpus: ders,
-            decode: Box::new(move |b| Certificate::from_der_with_budget(b, &strict).is_ok()),
+            decode: Box::new(move |b| {
+                Certificate::from_der_with_budget(b, &strict)
+                    .inspect(|c| assert_der_contract(b, c))
+                    .is_ok()
+            }),
         },
         FuzzTarget {
             name: "pem",
             corpus: pems,
             decode: Box::new(move |b| match std::str::from_utf8(b) {
-                Ok(s) => pinning_pki::encode::pem_decode_all_with_budget(s, &strict).is_ok(),
+                Ok(s) => pinning_pki::encode::pem_decode_all_with_budget(s, &strict)
+                    .inspect(|ders| {
+                        for der in ders {
+                            if let Ok(c) = Certificate::from_der_with_budget(der, &strict) {
+                                assert_der_contract(der, &c);
+                            }
+                        }
+                    })
+                    .is_ok(),
                 Err(_) => false,
             }),
         },
@@ -350,6 +362,22 @@ pub fn all_targets() -> Vec<FuzzTarget> {
             }),
         },
     ]
+}
+
+/// The DER contract of `pki::encode`, checked on every certificate a
+/// target decodes from `input`: the certificate's encoding is its fresh
+/// re-encoding, and its DER cell starts out holding `input` exactly when
+/// that re-encoding is `input`. A breach panics, which the fuzzer reports
+/// as a [`FuzzFailure`].
+fn assert_der_contract(input: &[u8], cert: &pinning_pki::Certificate) {
+    let kept = cert.der_is_cached();
+    let fresh = pinning_pki::Certificate::new(cert.tbs.clone(), cert.signature.clone()).to_der();
+    assert_eq!(
+        *cert.der_bytes(),
+        *fresh,
+        "encoding differs from re-encoding"
+    );
+    assert_eq!(kept, fresh == input, "DER cell kept non-canonical input");
 }
 
 /// A realistic capture for the simcap corpus: two flows, mixed events,

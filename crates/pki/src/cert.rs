@@ -59,11 +59,12 @@ fn encode_name(w: &mut Writer, name: &DistinguishedName) {
 }
 
 fn decode_name(r: &mut Reader<'_>) -> Result<DistinguishedName, DecodeError> {
-    let mut inner = r.nested(tag::NAME)?;
-    Ok(DistinguishedName {
-        common_name: inner.string()?,
-        organization: inner.string()?,
-        country: inner.string()?,
+    r.nested_with(tag::NAME, |inner| {
+        Ok(DistinguishedName {
+            common_name: inner.string()?,
+            organization: inner.string()?,
+            country: inner.string()?,
+        })
     })
 }
 
@@ -72,7 +73,10 @@ fn decode_name(r: &mut Reader<'_>) -> Result<DistinguishedName, DecodeError> {
 /// Kept behind an `Arc` on the owning [`Certificate`] so clones share one
 /// cell: warming any copy of a CA certificate warms every chain that embeds
 /// it. The cell never stores anything the content does not fully determine,
-/// so sharing cannot change results — only skip recomputation.
+/// so sharing cannot change results — only skip recomputation. A
+/// certificate decoded from canonical input starts with its DER cell
+/// holding that input (it *is* the encoding), and with its fingerprint
+/// too when it was decoded through [`ReceivedDer::decode`].
 #[derive(Debug, Default)]
 struct DerivedCache {
     der: OnceLock<Arc<[u8]>>,
@@ -81,7 +85,8 @@ struct DerivedCache {
     spki_sha1: OnceLock<[u8; 20]>,
     pin_string: OnceLock<Arc<str>>,
     /// Debug-only mutation guard: a cheap content probe captured at the
-    /// first derived read through this cell. Every later cached read
+    /// first derived read through this cell, or at decode when the decoder
+    /// seeds the cell. Every later cached read
     /// recomputes the probe and asserts it unchanged, so a `tbs` or
     /// `signature` mutation that skipped [`Certificate::invalidate_derived`]
     /// trips loudly instead of silently serving stale derived values.
@@ -269,42 +274,59 @@ impl Certificate {
     /// the TLV reader enforces input-size / depth / work limits and the SAN
     /// list is capped at `max_names` entries with at most
     /// `max_wildcard_labels` wildcard labels each.
+    ///
+    /// When `der` is canonical ([`Reader::is_canonical`] at every level),
+    /// it is this certificate's encoding, and the DER cell keeps it: the
+    /// certificate is never re-encoded. Other accepted input decodes the
+    /// same way, and its DER cell is filled by re-encoding on first use.
     pub fn from_der_with_budget(
         der: &[u8],
         budget: &crate::limits::Budget,
     ) -> Result<Self, DecodeError> {
+        Self::decode(der, budget, None)
+    }
+
+    /// The decoder behind [`Certificate::from_der_with_budget`] and
+    /// [`ReceivedDer::decode`]; `sha256` is the SHA-256 of `der`, when the
+    /// caller already took it.
+    fn decode(
+        der: &[u8],
+        budget: &crate::limits::Budget,
+        sha256: Option<&[u8; 32]>,
+    ) -> Result<Self, DecodeError> {
         let mut outer = Reader::with_budget(der, *budget);
-        let mut cert = outer.nested(tag::CERTIFICATE)?;
-        let tbs_bytes = cert.bytes()?;
-        let mut sig_reader = cert.nested(tag::SIGNATURE)?;
-        let sig: [u8; 32] = sig_reader.bytes_fixed()?;
+        let (tbs_bytes, sig) = outer.nested_with(tag::CERTIFICATE, |cert| {
+            let tbs_bytes = cert.bytes_ref()?;
+            let sig: [u8; 32] = cert.nested_with(tag::SIGNATURE, |s| s.bytes_fixed())?;
+            Ok((tbs_bytes, sig))
+        })?;
 
-        let mut tbs_outer = Reader::with_budget(&tbs_bytes, *budget);
-        let mut t = tbs_outer.nested(tag::TBS)?;
-        let serial = t.u64()?;
-        let subject = decode_name(&mut t)?;
-        let issuer = decode_name(&mut t)?;
-        let not_before = crate::time::SimTime(t.u64()?);
-        let not_after = crate::time::SimTime(t.u64()?);
-        let san = t.list(|r| r.string())?;
-        if san.len() > budget.max_names {
-            return Err(DecodeError::LimitExceeded(crate::limits::Limit::Names));
-        }
-        if san
-            .iter()
-            .any(|n| crate::limits::wildcard_labels(n) > budget.max_wildcard_labels)
-        {
-            return Err(DecodeError::LimitExceeded(
-                crate::limits::Limit::WildcardLabels,
-            ));
-        }
-        let spki: [u8; 32] = t.bytes_fixed()?;
-        let verifier: [u8; 32] = t.bytes_fixed()?;
-        let is_ca = t.boolean()?;
-        let path_len = t.opt_u64()?;
-
-        Ok(Certificate::new(
-            TbsCertificate {
+        // The TBS body gets a reader of its own: its depth and work count
+        // from zero, and which limit a hostile input trips depends on that.
+        let mut tbs_outer = Reader::with_budget(tbs_bytes, *budget);
+        let tbs = tbs_outer.nested_with(tag::TBS, |t| {
+            let serial = t.u64()?;
+            let subject = decode_name(t)?;
+            let issuer = decode_name(t)?;
+            let not_before = crate::time::SimTime(t.u64()?);
+            let not_after = crate::time::SimTime(t.u64()?);
+            let san = t.list(|r| r.string())?;
+            if san.len() > budget.max_names {
+                return Err(DecodeError::LimitExceeded(crate::limits::Limit::Names));
+            }
+            if san
+                .iter()
+                .any(|n| crate::limits::wildcard_labels(n) > budget.max_wildcard_labels)
+            {
+                return Err(DecodeError::LimitExceeded(
+                    crate::limits::Limit::WildcardLabels,
+                ));
+            }
+            let spki: [u8; 32] = t.bytes_fixed()?;
+            let verifier: [u8; 32] = t.bytes_fixed()?;
+            let is_ca = t.boolean()?;
+            let path_len = t.opt_u64()?;
+            Ok(TbsCertificate {
                 serial,
                 subject,
                 issuer,
@@ -316,9 +338,35 @@ impl Certificate {
                 public_key: PublicKey { spki, verifier },
                 is_ca,
                 path_len,
-            },
-            Signature(sig),
-        ))
+            })
+        })?;
+
+        let cert = Certificate::new(tbs, Signature(sig));
+        if outer.is_canonical() && tbs_outer.is_canonical() {
+            cert.keep_received(der, sha256);
+        }
+        Ok(cert)
+    }
+
+    /// Seeds a freshly decoded certificate's cells with its canonical
+    /// encoding and, if known, that encoding's SHA-256 (its fingerprint).
+    fn keep_received(&self, der: &[u8], sha256: Option<&[u8; 32]>) {
+        let _ = self.cache.der.set(der.into());
+        if let Some(fp) = sha256 {
+            let _ = self.cache.fingerprint.set(*fp);
+        }
+        // Seeded cells must be guarded like computed ones: a decode, an
+        // in-place mutation and a read would otherwise return the received
+        // bytes for content they no longer encode.
+        #[cfg(debug_assertions)]
+        let _ = self.cache.probe.set(self.content_probe());
+    }
+
+    /// Whether the DER cell is filled: right after decoding, exactly when
+    /// the input was canonical and kept (see
+    /// [`Certificate::from_der_with_budget`]).
+    pub fn der_is_cached(&self) -> bool {
+        self.cache.der.get().is_some()
     }
 
     /// PEM encoding (what the static scanner finds in app assets).
@@ -399,6 +447,50 @@ impl Certificate {
     }
 }
 
+/// A certificate encoding as received, with its SHA-256 taken once.
+///
+/// A canonical encoding's SHA-256 is the fingerprint of the certificate it
+/// decodes to, so a memo keyed by fingerprints can be probed with
+/// [`ReceivedDer::sha256`] before anything is decoded
+/// (`pki::validate::ReceivedChain`). For any other bytes the digest names
+/// no certificate, and such a probe simply misses.
+#[derive(Debug, Clone, Copy)]
+pub struct ReceivedDer<'a> {
+    bytes: &'a [u8],
+    sha256: [u8; 32],
+}
+
+impl<'a> ReceivedDer<'a> {
+    /// Hashes `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        ReceivedDer {
+            bytes,
+            sha256: sha256(bytes),
+        }
+    }
+
+    /// The received bytes.
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// SHA-256 of the received bytes.
+    pub fn sha256(&self) -> &[u8; 32] {
+        &self.sha256
+    }
+
+    /// [`Certificate::from_der`]; when the certificate keeps the received
+    /// bytes as its encoding, it also keeps their digest as its
+    /// fingerprint, so the bytes are never hashed again.
+    pub fn decode(&self) -> Result<Certificate, DecodeError> {
+        Certificate::decode(
+            self.bytes,
+            &crate::limits::Budget::STANDARD,
+            Some(&self.sha256),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,6 +520,107 @@ mod tests {
         let der = cert.to_der();
         let parsed = Certificate::from_der(&der).unwrap();
         assert_eq!(parsed, cert);
+    }
+
+    #[test]
+    fn decoding_canonical_input_keeps_it_as_the_encoding() {
+        let der = sample_cert(12).to_der();
+        let parsed = Certificate::from_der(&der).unwrap();
+        assert!(parsed.der_is_cached(), "canonical input seeds the DER cell");
+        assert_eq!(&*parsed.der_bytes(), der.as_slice());
+        assert_eq!(parsed.fingerprint_sha256(), sha256(&der));
+        assert!(!Certificate::new(parsed.tbs.clone(), parsed.signature.clone()).der_is_cached());
+    }
+
+    /// `cert`'s encoding with the SAN list and the path-length NONE written
+    /// by hand, so either can carry bytes the decoder leaves unread.
+    fn encode_with(cert: &Certificate, san_tail: bool, none_body: bool) -> Vec<u8> {
+        let t = &cert.tbs;
+        let mut tbs = Writer::new();
+        tbs.nested(tag::TBS, |w| {
+            w.u64(t.serial);
+            encode_name(w, &t.subject);
+            encode_name(w, &t.issuer);
+            w.u64(t.validity.not_before.0);
+            w.u64(t.validity.not_after.0);
+            w.nested(tag::LIST, |w| {
+                w.u64(t.san.len() as u64);
+                for s in &t.san {
+                    w.string(s);
+                }
+                if san_tail {
+                    w.u64(0);
+                }
+            });
+            w.bytes(&t.public_key.spki);
+            w.bytes(&t.public_key.verifier);
+            w.boolean(t.is_ca);
+            w.nested(tag::NONE, |w| {
+                if none_body {
+                    w.u64(0);
+                }
+            });
+        });
+        let mut w = Writer::new();
+        w.nested(tag::CERTIFICATE, |w| {
+            w.bytes(&tbs.into_bytes());
+            w.nested(tag::SIGNATURE, |w| w.bytes(&cert.signature.0));
+        });
+        w.into_bytes()
+    }
+
+    #[test]
+    fn non_canonical_inputs_decode_as_before_and_are_re_encoded() {
+        let cert = sample_cert(13);
+        let der = cert.to_der();
+        assert_eq!(
+            encode_with(&cert, false, false),
+            der,
+            "helper mirrors to_der"
+        );
+
+        let mut trailing_outer = der.clone();
+        trailing_outer.push(0);
+        // The BOOL byte sits just before the TBS's closing NONE, which the
+        // 42-byte signature structure follows.
+        let mut bool_two = der.clone();
+        let bool_at = der.len() - 42 - 5 - 1;
+        assert_eq!(der[bool_at - 5], tag::BOOL);
+        bool_two[bool_at] = 2;
+        let mut flipped = cert.clone();
+        flipped.tbs.is_ca = true;
+        flipped.invalidate_derived();
+
+        for (kind, input, decodes_to) in [
+            ("trailing outer byte", trailing_outer, &cert),
+            ("BOOL byte 2", bool_two, &flipped),
+            ("NONE with a body", encode_with(&cert, false, true), &cert),
+            (
+                "trailing SAN-list bytes",
+                encode_with(&cert, true, false),
+                &cert,
+            ),
+        ] {
+            let parsed = Certificate::from_der(&input).unwrap_or_else(|e| panic!("{kind}: {e:?}"));
+            assert_eq!(&parsed, decodes_to, "{kind}");
+            assert!(!parsed.der_is_cached(), "{kind}: input is not the encoding");
+            assert_eq!(parsed.to_der(), decodes_to.to_der(), "{kind}: re-encoded");
+            let received = ReceivedDer::new(&input);
+            let parsed = received.decode().unwrap();
+            assert_ne!(&parsed.fingerprint_sha256(), received.sha256(), "{kind}");
+            assert_eq!(parsed.fingerprint_sha256(), decodes_to.fingerprint_sha256());
+        }
+    }
+
+    #[test]
+    fn received_decode_keeps_the_digest_as_fingerprint() {
+        let der = sample_cert(14).to_der();
+        let received = ReceivedDer::new(&der);
+        assert_eq!(received.sha256(), &sha256(&der));
+        let parsed = received.decode().unwrap();
+        assert!(parsed.cache.fingerprint.get().is_some(), "seeded at decode");
+        assert_eq!(&parsed.fingerprint_sha256(), received.sha256());
+        assert_eq!(received.decode(), Certificate::from_der(&der));
     }
 
     #[test]
@@ -497,6 +690,16 @@ mod tests {
         let mut b = a.clone();
         b.tbs.serial ^= 0xDEAD; // mutation without invalidate_derived()
         let _ = b.fingerprint_sha256(); // stale cached read → guard trips
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "derived cache read after un-invalidated mutation")]
+    fn guard_trips_on_mutate_after_decode_without_invalidate() {
+        let mut b = Certificate::from_der(&sample_cert(44).to_der()).unwrap();
+        assert!(b.der_is_cached(), "the decoder seeded the cell");
+        b.tbs.serial ^= 0xDEAD; // mutation without invalidate_derived()
+        let _ = b.der_bytes(); // would return the received bytes → guard trips
     }
 
     #[test]

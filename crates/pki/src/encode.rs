@@ -10,7 +10,22 @@
 //!   (`-----BEGIN CERTIFICATE-----`) that the paper's static scanner
 //!   searches for (§4.1.2);
 //! * certificates round-trip, because static analysis *parses back* the
-//!   blobs it finds in app packages.
+//!   blobs it finds in app packages: decoding `to_der(c)` yields `c`, and
+//!   decoding any accepted input yields a certificate whose encoding is
+//!   the input itself exactly when the input is *canonical*.
+//!
+//! Canonical means what [`Reader::is_canonical`] checks: no unconsumed
+//! bytes at any nesting level, each BOOL byte 0 or 1, each NONE empty.
+//! The fixed 4-byte lengths and 8-byte integers leave no other freedom,
+//! so a canonical input is the one encoding of what it decodes to, and
+//! its SHA-256 is that certificate's fingerprint. Non-canonical input is
+//! accepted rather than rejected. The decoder has always accepted it, and
+//! the mutated requests of the serving traces carry it: 16 requests of
+//! the frozen-hash trace in `tests/ctlog.rs`, and 51 certificates of the
+//! first seed-101 trace of the `serve` benchmark, decode to a certificate
+//! without being its encoding. Each of those gets a real verdict, and
+//! rejecting them would change frozen answers. A certificate decoded from
+//! such input is re-encoded when its encoding is asked for.
 
 use crate::error::DecodeError;
 use crate::limits::{Budget, Limit};
@@ -129,6 +144,9 @@ pub struct Reader<'a> {
     budget: Budget,
     depth: usize,
     work: u64,
+    /// Cleared by anything read in a non-canonical form (see
+    /// [`Reader::is_canonical`]); never an error.
+    canonical: bool,
 }
 
 impl<'a> Reader<'a> {
@@ -145,6 +163,7 @@ impl<'a> Reader<'a> {
             budget,
             depth: 0,
             work: 0,
+            canonical: true,
         }
     }
 
@@ -156,6 +175,15 @@ impl<'a> Reader<'a> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.input.len().saturating_sub(self.pos)
+    }
+
+    /// Whether everything read so far was in canonical form and nothing is
+    /// left: every byte consumed, here and inside every structure entered
+    /// through [`Reader::nested_with`], [`Reader::list`] or
+    /// [`Reader::opt_u64`]; each BOOL byte 0 or 1; each NONE empty.
+    /// Canonical input is exactly what [`Writer`] writes for the values read.
+    pub fn is_canonical(&self) -> bool {
+        self.canonical && self.is_empty()
     }
 
     /// Charges one unit of decode work and enforces the input-size and
@@ -216,23 +244,30 @@ impl<'a> Reader<'a> {
 
     /// Reads a tagged byte string.
     pub fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
+        Ok(self.bytes_ref()?.to_vec())
+    }
+
+    /// Reads a tagged byte string, borrowed from the input.
+    pub fn bytes_ref(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.header(tag::BYTES)?;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     /// Reads a tagged byte string into a fixed-size array.
     pub fn bytes_fixed<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
-        let v = self.bytes()?;
+        let v = self.bytes_ref()?;
         v.try_into().map_err(|_| DecodeError::BadFieldSize)
     }
 
-    /// Reads a tagged boolean.
+    /// Reads a tagged boolean: zero is `false`, any other byte `true`.
     pub fn boolean(&mut self) -> Result<bool, DecodeError> {
         let len = self.header(tag::BOOL)?;
         if len != 1 {
             return Err(DecodeError::BadFieldSize);
         }
-        Ok(self.take(1)?[0] != 0)
+        let b = self.take(1)?[0];
+        self.canonical &= b <= 1;
+        Ok(b != 0)
     }
 
     /// Reads an optional u64.
@@ -243,10 +278,14 @@ impl<'a> Reader<'a> {
                 let len = self.header(tag::SOME)?;
                 let body = self.take(len)?;
                 let mut inner = self.child(body)?;
-                Ok(Some(inner.u64()?))
+                let v = inner.u64()?;
+                self.canonical &= inner.is_canonical();
+                Ok(Some(v))
             }
             tag::NONE => {
-                let _ = self.header(tag::NONE)?;
+                // A NONE body stays unread, for the next read to meet.
+                let len = self.header(tag::NONE)?;
+                self.canonical &= len == 0;
                 Ok(None)
             }
             found => Err(DecodeError::UnexpectedTag {
@@ -268,6 +307,7 @@ impl<'a> Reader<'a> {
             budget: self.budget,
             depth: self.depth + 1,
             work: self.work,
+            canonical: true,
         })
     }
 
@@ -276,6 +316,20 @@ impl<'a> Reader<'a> {
         let len = self.header(t)?;
         let body = self.take(len)?;
         self.child(body)
+    }
+
+    /// Reads a nested structure tagged `t` with `f` (the mirror of
+    /// [`Writer::nested`]). Whatever `f` leaves unread, or reads in a
+    /// non-canonical form, makes this reader non-canonical.
+    pub fn nested_with<T>(
+        &mut self,
+        t: u8,
+        f: impl FnOnce(&mut Reader<'a>) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        let mut inner = self.nested(t)?;
+        let v = f(&mut inner)?;
+        self.canonical &= inner.is_canonical();
+        Ok(v)
     }
 
     /// Reads a list, calling `f` once per element.
@@ -297,6 +351,7 @@ impl<'a> Reader<'a> {
         for _ in 0..n {
             out.push(f(&mut inner)?);
         }
+        self.canonical &= inner.is_canonical();
         Ok(out)
     }
 }
@@ -421,6 +476,46 @@ mod tests {
         assert_eq!(inner.u64().unwrap(), 1);
         assert!(inner.boolean().unwrap());
         assert!(inner.is_empty());
+    }
+
+    #[test]
+    fn canonical_input_is_what_the_writer_writes() {
+        let mut w = Writer::new();
+        w.nested(tag::TBS, |w| {
+            w.boolean(true);
+            w.opt_u64(None);
+            w.opt_u64(Some(3));
+            w.list(&[1u64, 2], |w, v| w.u64(*v));
+        });
+        let read = |bytes: &[u8]| {
+            let mut r = Reader::new(bytes);
+            let v = r.nested_with(tag::TBS, |t| {
+                Ok((
+                    t.boolean()?,
+                    t.opt_u64()?,
+                    t.opt_u64()?,
+                    t.list(|r| r.u64())?,
+                ))
+            });
+            (v, r.is_canonical())
+        };
+        let bytes = w.into_bytes();
+        let (v, canonical) = read(&bytes);
+        assert_eq!(v, Ok((true, None, Some(3), vec![1, 2])));
+        assert!(canonical);
+
+        // One trailing byte: same values, not canonical.
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_eq!(read(&trailing), (v.clone(), false));
+
+        // BOOL byte 2 reads as `true`, not canonically.
+        let mut two = bytes.clone();
+        let at = bytes
+            .windows(6)
+            .position(|b| b == [tag::BOOL, 0, 0, 0, 1, 1]);
+        two[at.expect("bool TLV") + 5] = 2;
+        assert_eq!(read(&two), (v, false));
     }
 
     #[test]

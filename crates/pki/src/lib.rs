@@ -52,7 +52,7 @@ pub mod validate;
 
 pub use authority::CertificateAuthority;
 pub use cache::{CacheCounter, CacheStat};
-pub use cert::{Certificate, TbsCertificate};
+pub use cert::{Certificate, ReceivedDer, TbsCertificate};
 pub use chain::CertificateChain;
 pub use error::ValidationError;
 pub use limits::{screen_chain, Budget, ChainDefect, Limit};
@@ -62,5 +62,6 @@ pub use store::RootStore;
 pub use time::{SimTime, Validity, DAY, HOUR, YEAR};
 pub use universe::PkiUniverse;
 pub use validate::{
-    validate_chain, validate_chain_cached, RevocationList, ValidationMemo, ValidationOptions,
+    validate_chain, validate_chain_cached, ReceivedChain, RevocationList, ValidationMemo,
+    ValidationOptions,
 };

@@ -6,7 +6,7 @@
 //! matching, root-store anchoring, and leaf revocation.
 
 use crate::cache::{self, CacheCounter, CacheStat};
-use crate::cert::Certificate;
+use crate::cert::{Certificate, ReceivedDer};
 use crate::error::ValidationError;
 use crate::store::RootStore;
 use crate::time::SimTime;
@@ -188,7 +188,10 @@ fn validate_chain_impl(
 
     // Screen structure before any cryptographic work: pathological chains
     // (cycles, absurd depth, giant SAN lists, stacked wildcards) are
-    // rejected up front under the standard hostile-input budget.
+    // rejected up front under the standard hostile-input budget. Nothing
+    // but an empty chain may be judged before this screen:
+    // `ReceivedChain` relies on every other verdict that is not
+    // `Malformed` proving that the chain passed it.
     crate::limits::screen_chain(chain, &crate::limits::Budget::STANDARD)
         .map_err(ValidationError::Malformed)?;
 
@@ -342,9 +345,21 @@ impl ValidationKey {
         let leaf_revoked = chain
             .first()
             .is_some_and(|leaf| crl.is_revoked(leaf.tbs.serial));
+        let fingerprints = chain.iter().map(Certificate::fingerprint_sha256).collect();
+        Self::with_fingerprints(fingerprints, store, hostname, now, leaf_revoked, options)
+    }
+
+    fn with_fingerprints(
+        chain: Box<[[u8; 32]]>,
+        store: &RootStore,
+        hostname: &str,
+        now: SimTime,
+        leaf_revoked: bool,
+        options: &ValidationOptions,
+    ) -> Self {
         ValidationKey {
             store: store.content_id(),
-            chain: chain.iter().map(Certificate::fingerprint_sha256).collect(),
+            chain,
             hostname: hostname.into(),
             now: now.0,
             flags: [
@@ -436,6 +451,23 @@ impl ValidationMemo {
     ) -> Result<CachedVerdict, DeadlineExceeded> {
         deadline.charge(COST_MEMO_PROBE)?;
         let key = ValidationKey::new(chain, store, hostname, now, crl, options);
+        self.validate_keyed_within(key, chain, store, hostname, now, crl, options, deadline)
+    }
+
+    /// [`ValidationMemo::validate_within`] under a key already built, after
+    /// the probe is charged.
+    #[allow(clippy::too_many_arguments)]
+    fn validate_keyed_within(
+        &self,
+        key: ValidationKey,
+        chain: &[Certificate],
+        store: &RootStore,
+        hostname: &str,
+        now: SimTime,
+        crl: &RevocationList,
+        options: &ValidationOptions,
+        deadline: &Deadline,
+    ) -> Result<CachedVerdict, DeadlineExceeded> {
         if let Some(verdict) = self.verdicts.read().expect("memo poisoned").get(&key) {
             self.count(true);
             return Ok(CachedVerdict {
@@ -454,7 +486,7 @@ impl ValidationMemo {
 
     /// Probes the memo without computing or counting anything:
     /// `Some(verdict)` iff this exact validation has already completed
-    /// (`pinning-serve`'s brownout path, which counts its own traffic).
+    /// (`pinning-serve`'s brownout path, after decoding).
     pub fn verdict(
         &self,
         chain: &[Certificate],
@@ -512,6 +544,140 @@ pub fn validate_with_within(
                 hit: false,
             },
         ),
+    }
+}
+
+/// One validation asked for a chain still in its received encodings
+/// (leaf first): every input [`validate_chain`] reads, with the memo key
+/// built from the SHA-256 of each received slice instead of from decoded
+/// certificates.
+///
+/// A canonical encoding's SHA-256 is its certificate's fingerprint
+/// (`pki::encode`), so for a canonical chain this is the key
+/// [`ValidationMemo::validate_within`] would build after decoding, and a
+/// memo can answer before anything is decoded. Any other slice's digest
+/// names no certificate: the probe misses, and the decoded chain is keyed
+/// by its own fingerprints.
+///
+/// The key is left unbuilt, so the chain is always decoded first, when
+/// the leaf-revoked bit needs the decoded leaf (a non-empty CRL) or a
+/// slice is over [`crate::limits::Budget::STANDARD`]'s input size, which
+/// decoding would reject whatever the memo holds.
+#[derive(Debug)]
+pub struct ReceivedChain<'a> {
+    key: Option<ValidationKey>,
+    store: &'a RootStore,
+    hostname: &'a str,
+    now: SimTime,
+    crl: &'a RevocationList,
+    options: &'a ValidationOptions,
+}
+
+impl<'a> ReceivedChain<'a> {
+    /// The validation of `received` for `hostname` at `now`.
+    pub fn new(
+        received: &[ReceivedDer<'_>],
+        store: &'a RootStore,
+        hostname: &'a str,
+        now: SimTime,
+        crl: &'a RevocationList,
+        options: &'a ValidationOptions,
+    ) -> Self {
+        let max_bytes = crate::limits::Budget::STANDARD.max_input_bytes;
+        let probe = crl.is_empty() && received.iter().all(|r| r.bytes().len() <= max_bytes);
+        let key = probe.then(|| {
+            let digests = received.iter().map(|r| *r.sha256()).collect();
+            ValidationKey::with_fingerprints(digests, store, hostname, now, false, options)
+        });
+        ReceivedChain {
+            key,
+            store,
+            hostname,
+            now,
+            crl,
+            options,
+        }
+    }
+
+    /// The verdict `memo` holds for the received chain, if decoding would
+    /// have accepted every certificate of it; counts and charges nothing
+    /// (`pinning-serve`'s brownout path). `None` means: decode, then look
+    /// again with [`ValidationMemo::verdict`].
+    ///
+    /// A memo may hold verdicts for chains never decoded, validated from
+    /// `Certificate` values that decoding would reject (a giant SAN list,
+    /// stacked wildcards). Validation screens every chain under
+    /// [`crate::limits::Budget::STANDARD`] before judging it otherwise,
+    /// and that screen's name and wildcard limits cover decoding's. So
+    /// any verdict but `Malformed` proves every certificate within them,
+    /// and a canonical encoding within them and within the input size
+    /// decodes. A `Malformed` verdict is left to the decoder.
+    pub fn memo_verdict(&self, memo: &ValidationMemo) -> Option<Result<(), ValidationError>> {
+        let key = self.key.as_ref()?;
+        let verdicts = memo.verdicts.read().expect("memo poisoned");
+        match verdicts.get(key)? {
+            Err(ValidationError::Malformed(_)) => None,
+            verdict => Some(verdict.clone()),
+        }
+    }
+
+    /// [`ReceivedChain::memo_verdict`] as a counted memo hit: charges
+    /// [`COST_MEMO_PROBE`] and counts one hit, as
+    /// [`ValidationMemo::validate_within`] does on a hit. `Ok(None)`, with
+    /// nothing charged or counted, means: decode, then
+    /// [`ReceivedChain::validate_within`].
+    pub fn answer_within(
+        &self,
+        memo: &ValidationMemo,
+        deadline: &Deadline,
+    ) -> Result<Option<Result<(), ValidationError>>, DeadlineExceeded> {
+        let Some(verdict) = self.memo_verdict(memo) else {
+            return Ok(None);
+        };
+        deadline.charge(COST_MEMO_PROBE)?;
+        memo.count(true);
+        Ok(Some(verdict))
+    }
+
+    /// The key of `chain`, decoded from the received slices: the probe's
+    /// key with each digest replaced by the certificate's fingerprint,
+    /// which is the same digest (seeded by [`ReceivedDer::decode`])
+    /// wherever the certificate kept its received bytes.
+    fn decoded_key(&mut self, chain: &[Certificate]) -> ValidationKey {
+        match self.key.take() {
+            Some(mut key) if key.chain.len() == chain.len() => {
+                for (digest, cert) in key.chain.iter_mut().zip(chain) {
+                    *digest = cert.fingerprint_sha256();
+                }
+                key
+            }
+            _ => ValidationKey::new(
+                chain,
+                self.store,
+                self.hostname,
+                self.now,
+                self.crl,
+                self.options,
+            ),
+        }
+    }
+
+    /// [`validate_with_within`] for `chain`, decoded from the received
+    /// slices, reusing the probe's key.
+    pub fn validate_within(
+        mut self,
+        memo: Option<&ValidationMemo>,
+        chain: &[Certificate],
+        deadline: &Deadline,
+    ) -> Result<CachedVerdict, DeadlineExceeded> {
+        let (store, hostname, now, crl, options) =
+            (self.store, self.hostname, self.now, self.crl, self.options);
+        let Some(memo) = memo else {
+            return validate_with_within(None, chain, store, hostname, now, crl, options, deadline);
+        };
+        deadline.charge(COST_MEMO_PROBE)?;
+        let key = self.decoded_key(chain);
+        memo.validate_keyed_within(key, chain, store, hostname, now, crl, options, deadline)
     }
 }
 
@@ -1340,6 +1506,123 @@ mod tests {
             }
         });
         assert_eq!((memo.stats().hits, memo.stats().misses), (9, 3));
+    }
+
+    #[test]
+    fn received_chain_keys_like_its_decoded_chain() {
+        let f = fixture();
+        let (crl, opts) = (RevocationList::empty(), ValidationOptions::default());
+        let ders: Vec<Vec<u8>> = f.chain.iter().map(Certificate::to_der).collect();
+        let received: Vec<ReceivedDer> = ders.iter().map(|d| ReceivedDer::new(d)).collect();
+        let query = || {
+            ReceivedChain::new(
+                &received,
+                &f.store,
+                "pay.shop.com",
+                SimTime(100),
+                &crl,
+                &opts,
+            )
+        };
+        let memo = ValidationMemo::default();
+        let deadline = Deadline::unlimited();
+        assert_eq!(query().memo_verdict(&memo), None);
+        assert_eq!(query().answer_within(&memo, &deadline), Ok(None));
+        assert_eq!(
+            deadline.spent(),
+            0,
+            "a probe that cannot answer charges nothing"
+        );
+
+        let chain: Vec<Certificate> = received.iter().map(|r| r.decode().unwrap()).collect();
+        let miss = query()
+            .validate_within(Some(&memo), &chain, &deadline)
+            .unwrap();
+        assert_eq!((miss.verdict.clone(), miss.hit), (Ok(()), false));
+        // Stored under the key a decoded chain builds, and found by the bytes.
+        assert_eq!(
+            memo.verdict(
+                &f.chain,
+                &f.store,
+                "pay.shop.com",
+                SimTime(100),
+                &crl,
+                &opts
+            ),
+            Some(Ok(()))
+        );
+        let before = deadline.spent();
+        assert_eq!(query().answer_within(&memo, &deadline), Ok(Some(Ok(()))));
+        assert_eq!(deadline.spent() - before, COST_MEMO_PROBE);
+        assert_eq!((memo.stats().hits, memo.stats().misses), (1, 1));
+        assert_eq!(
+            query().answer_within(&memo, &Deadline::with_budget(COST_MEMO_PROBE - 1)),
+            Err(DeadlineExceeded)
+        );
+        assert_eq!(memo.stats().hits, 1, "a timed-out probe counts nothing");
+    }
+
+    #[test]
+    fn received_chain_leaves_malformed_verdicts_and_crls_to_the_decoder() {
+        let f = fixture();
+        let (crl, opts) = (RevocationList::empty(), ValidationOptions::default());
+        let memo = ValidationMemo::default();
+        // A giant SAN list: validated from values, it is `Malformed`; its
+        // bytes do not decode under the standard budget.
+        let mut giant = f.chain[0].clone();
+        giant.tbs.san = (0..=crate::limits::Budget::STANDARD.max_names)
+            .map(|i| format!("h{i}.shop.com"))
+            .collect();
+        giant.invalidate_derived();
+        let chain = vec![giant, f.chain[1].clone(), f.chain[2].clone()];
+        let verdict = memo.validate(&chain, &f.store, "pay.shop.com", SimTime(100), &crl, &opts);
+        assert!(matches!(verdict, Err(ValidationError::Malformed(_))));
+        let ders: Vec<Vec<u8>> = chain.iter().map(Certificate::to_der).collect();
+        let received: Vec<ReceivedDer> = ders.iter().map(|d| ReceivedDer::new(d)).collect();
+        let query = ReceivedChain::new(
+            &received,
+            &f.store,
+            "pay.shop.com",
+            SimTime(100),
+            &crl,
+            &opts,
+        );
+        assert_eq!(query.memo_verdict(&memo), None);
+        assert!(Certificate::from_der(&ders[0]).is_err());
+
+        // With a revocation list the leaf-revoked bit needs the decoded leaf.
+        let ders: Vec<Vec<u8>> = f.chain.iter().map(Certificate::to_der).collect();
+        let received: Vec<ReceivedDer> = ders.iter().map(|d| ReceivedDer::new(d)).collect();
+        memo.validate(
+            &f.chain,
+            &f.store,
+            "pay.shop.com",
+            SimTime(100),
+            &crl,
+            &opts,
+        )
+        .unwrap();
+        let mut revoking = RevocationList::empty();
+        revoking.revoke(f.chain[0].tbs.serial);
+        let query = ReceivedChain::new(
+            &received,
+            &f.store,
+            "pay.shop.com",
+            SimTime(100),
+            &revoking,
+            &opts,
+        );
+        assert_eq!(query.memo_verdict(&memo), None);
+        let verdict = query
+            .validate_within(Some(&memo), &f.chain, &Deadline::unlimited())
+            .unwrap()
+            .verdict;
+        assert_eq!(
+            verdict,
+            Err(ValidationError::Revoked {
+                serial: f.chain[0].tbs.serial
+            })
+        );
     }
 
     #[test]

@@ -31,12 +31,13 @@ use crate::stats::ServeSummary;
 use pinning_crypto::SplitMix64;
 use pinning_ctlog::resolver::COST_LOCATOR_LOOKUP;
 use pinning_ctlog::{verify_inclusion, LogSet, PinResolver};
+use pinning_pki::error::DecodeError;
 use pinning_pki::store::RootStore;
 use pinning_pki::time::SimTime;
 use pinning_pki::validate::{
-    validate_with_within, CachedVerdict, RevocationList, ValidationMemo, ValidationOptions,
+    CachedVerdict, ReceivedChain, RevocationList, ValidationMemo, ValidationOptions,
 };
-use pinning_pki::Certificate;
+use pinning_pki::{Certificate, ReceivedDer};
 use pinning_resilience::{Admission, BreakerSet, Deadline};
 use std::collections::VecDeque;
 
@@ -221,17 +222,21 @@ impl<'a> PinService<'a> {
                 hostname,
                 chain_der,
             } => {
-                let mut chain = Vec::with_capacity(chain_der.len());
-                for der in chain_der {
-                    match Certificate::from_der(der) {
-                        Ok(c) => chain.push(c),
-                        // Decoding is cheap and the structured rejection is
-                        // complete in itself — still an honest degraded
-                        // answer for hostile bytes.
-                        Err(e) => return Outcome::Degraded(Payload::Undecodable(e)),
-                    }
-                }
+                let received = receive(chain_der);
                 let b = &self.backend;
+                let query =
+                    ReceivedChain::new(&received, b.roots, hostname, b.now, &b.crl, &b.options);
+                // A memo answer needs no decoding; see DESIGN.md §8b.
+                if let Some(verdict) = self.memo.and_then(|memo| query.memo_verdict(memo)) {
+                    return Outcome::Degraded(Payload::ChainVerdict(verdict));
+                }
+                let chain = match decode(&received) {
+                    Ok(chain) => chain,
+                    // Decoding is cheap and the structured rejection is
+                    // complete in itself — still an honest degraded
+                    // answer for hostile bytes.
+                    Err(e) => return Outcome::Degraded(Payload::Undecodable(e)),
+                };
                 let cached = self.memo.and_then(|memo| {
                     memo.verdict(&chain, b.roots, hostname, b.now, &b.crl, &b.options)
                 });
@@ -329,26 +334,35 @@ impl<'a> PinService<'a> {
                 hostname,
                 chain_der,
             } => {
+                // Decoding is charged whether or not it runs, so a memo
+                // answer costs the same ticks as it did after decoding.
                 if deadline
                     .charge(COST_DECODE_PER_CERT * chain_der.len() as u64)
                     .is_err()
                 {
                     return Outcome::TimedOut(TimeoutStage::ChainValidation);
                 }
-                let mut chain = Vec::with_capacity(chain_der.len());
-                for der in chain_der {
-                    match Certificate::from_der(der) {
-                        Ok(c) => chain.push(c),
-                        Err(e) => return Outcome::Ok(Payload::Undecodable(e)),
+                let received = receive(chain_der);
+                let b = &self.backend;
+                let query =
+                    ReceivedChain::new(&received, b.roots, hostname, b.now, &b.crl, &b.options);
+                if let Some(memo) = self.memo {
+                    match query.answer_within(memo, deadline) {
+                        Ok(Some(verdict)) => {
+                            self.cache_hits += 1;
+                            return Outcome::Ok(Payload::ChainVerdict(verdict));
+                        }
+                        Ok(None) => {}
+                        Err(_) => return Outcome::TimedOut(TimeoutStage::ChainValidation),
                     }
                 }
+                let chain = match decode(&received) {
+                    Ok(chain) => chain,
+                    Err(e) => return Outcome::Ok(Payload::Undecodable(e)),
+                };
                 // The service counts its own hits and misses from the
                 // memo's answer.
-                let b = &self.backend;
-                let (roots, now, crl, options) = (b.roots, b.now, &b.crl, &b.options);
-                match validate_with_within(
-                    self.memo, &chain, roots, hostname, now, crl, options, deadline,
-                ) {
+                match query.validate_within(self.memo, &chain, deadline) {
                     Ok(CachedVerdict { verdict, hit }) => {
                         if hit {
                             self.cache_hits += 1;
@@ -411,6 +425,17 @@ impl<'a> PinService<'a> {
             }
         }
     }
+}
+
+/// Hashes each received certificate encoding once.
+fn receive(chain_der: &[Vec<u8>]) -> Vec<ReceivedDer<'_>> {
+    chain_der.iter().map(|der| ReceivedDer::new(der)).collect()
+}
+
+/// Decodes a received chain, stopping at the first undecodable
+/// certificate.
+fn decode(received: &[ReceivedDer<'_>]) -> Result<Vec<Certificate>, DecodeError> {
+    received.iter().map(ReceivedDer::decode).collect()
 }
 
 #[cfg(test)]
@@ -826,6 +851,154 @@ mod tests {
             Outcome::Ok(Payload::PinResolution { matches: 0 })
         );
         assert_eq!(responses[2].outcome, Outcome::Ok(Payload::NotLogged));
+    }
+
+    /// `f.chain` with its leaf's SANs replaced, as the adversarial cohort
+    /// builds its `GiantSan` and `AbsurdWildcard` leaves: from
+    /// `Certificate` values, never decoded.
+    fn chain_with_sans(f: &Fixture, san: Vec<String>) -> Vec<Certificate> {
+        let mut leaf = f.chain[0].clone();
+        leaf.tbs.san = san;
+        leaf.invalidate_derived();
+        vec![leaf, f.chain[1].clone(), f.chain[2].clone()]
+    }
+
+    #[test]
+    fn memo_verdicts_for_chains_decoding_rejects_never_answer_their_bytes() {
+        use pinning_pki::limits::{Budget, Limit};
+        let f = fixture(0x5e49);
+        let giant = (0..Budget::STANDARD.max_names * 8)
+            .map(|i| format!("h{i}.shop.com"))
+            .chain(["pay.shop.com".to_string()])
+            .collect();
+        let wildcard = vec![
+            "*.*.*.*.*.*.shop.com".to_string(),
+            "pay.shop.com".to_string(),
+        ];
+        for (san, limit) in [(giant, Limit::Names), (wildcard, Limit::WildcardLabels)] {
+            let chain = chain_with_sans(&f, san);
+            let memo = ValidationMemo::default();
+            let held = memo.validate(
+                &chain,
+                &f.store,
+                "pay.shop.com",
+                SimTime(100),
+                &RevocationList::empty(),
+                &ValidationOptions::default(),
+            );
+            assert!(held.is_err(), "the memo holds a verdict for {limit:?}");
+            let mut svc = service(ServeConfig::default(), &f, &memo);
+            let body = validate_request(0, 0, &chain, "pay.shop.com").body;
+            let undecodable = Payload::Undecodable(DecodeError::LimitExceeded(limit));
+            assert_eq!(
+                svc.perform(&body, &Deadline::unlimited()),
+                Outcome::Ok(undecodable.clone())
+            );
+            assert_eq!(svc.serve_degraded(&body), Outcome::Degraded(undecodable));
+            assert_eq!((svc.cache_hits, svc.cache_misses), (0, 0));
+            assert_eq!((memo.stats().hits, memo.stats().misses), (0, 1));
+        }
+    }
+
+    #[test]
+    fn revocations_answer_as_the_decode_path_does() {
+        use pinning_pki::validate::COST_MEMO_PROBE;
+        let f = fixture(0x5e4a);
+        let memo = ValidationMemo::default();
+        // The memo already holds an `Ok` for the chain under an empty CRL,
+        // whose key differs from a revoking CRL's only in the leaf bit.
+        let (empty, options) = (RevocationList::empty(), ValidationOptions::default());
+        memo.validate(
+            &f.chain,
+            &f.store,
+            "pay.shop.com",
+            SimTime(100),
+            &empty,
+            &options,
+        )
+        .unwrap();
+        let mut crl = RevocationList::empty();
+        crl.revoke(f.chain[0].tbs.serial);
+        let mut svc = PinService::new(
+            ServeConfig::default(),
+            Backend {
+                crl: crl.clone(),
+                ..backend(&f)
+            },
+        )
+        .with_memo(Some(&memo));
+        let reqs: Vec<ServeRequest> = (0..2)
+            .map(|i| validate_request(i, i * 10_000, &f.chain, "pay.shop.com"))
+            .collect();
+        let responses = svc.run(&reqs);
+        let offline = validate_chain(
+            &f.chain,
+            &f.store,
+            "pay.shop.com",
+            SimTime(100),
+            &crl,
+            &options,
+        );
+        assert!(offline.is_err(), "the leaf is revoked");
+        for r in &responses {
+            assert_eq!(
+                r.outcome,
+                Outcome::Ok(Payload::ChainVerdict(offline.clone()))
+            );
+        }
+        // The first validates in full, the second is a memo hit.
+        let hit_ticks = COST_DECODE_PER_CERT * 3 + COST_MEMO_PROBE;
+        assert!(responses[0].finished_at - responses[0].arrived_at > hit_ticks);
+        assert_eq!(
+            responses[1].finished_at - responses[1].arrived_at,
+            hit_ticks
+        );
+        let s = svc.summary(&responses);
+        assert_eq!((s.cache_hits, s.cache_misses), (1, 1));
+    }
+
+    #[test]
+    fn a_leaf_with_a_trailing_byte_is_answered_as_before() {
+        use pinning_pki::validate::COST_MEMO_PROBE;
+        let f = fixture(0x5e4b);
+        let memo = ValidationMemo::default();
+        let (crl, options) = (RevocationList::empty(), ValidationOptions::default());
+        memo.validate(
+            &f.chain,
+            &f.store,
+            "pay.shop.com",
+            SimTime(100),
+            &crl,
+            &options,
+        )
+        .unwrap();
+        let mut req = validate_request(0, 0, &f.chain, "pay.shop.com");
+        let RequestBody::ValidateChain { chain_der, .. } = &mut req.body else {
+            unreachable!()
+        };
+        chain_der[0].push(0);
+        // The bytes decode to the warm chain, whose verdict is a memo hit
+        // charged the decode and the probe, as it was before any probe
+        // read the bytes themselves.
+        let mut svc = service(ServeConfig::default(), &f, &memo);
+        let responses = svc.run(&[req.clone()]);
+        let expected = offline_verdict(&f, &f.chain, "pay.shop.com");
+        assert_eq!(
+            responses[0].outcome,
+            Outcome::Ok(Payload::ChainVerdict(expected.clone()))
+        );
+        assert_eq!(
+            responses[0].finished_at - responses[0].arrived_at,
+            COST_DECODE_PER_CERT * 3 + COST_MEMO_PROBE
+        );
+        let s = svc.summary(&responses);
+        assert_eq!((s.cache_hits, s.cache_misses), (1, 0));
+        assert_eq!((memo.stats().hits, memo.stats().misses), (1, 1));
+        // Brownout answers it from the memo as well.
+        assert_eq!(
+            svc.serve_degraded(&req.body),
+            Outcome::Degraded(Payload::ChainVerdict(expected))
+        );
     }
 
     #[test]
