@@ -62,9 +62,9 @@ cargo bench -q -p pinning-bench --bench perf --offline -- smoke
 echo "==> fuzz smoke (every decoder, mutation fuzz, fixed seed; fails on any panic)"
 cargo bench -q -p pinning-bench --bench fuzz --offline -- smoke
 
-echo "==> serve smoke (seeded overload: bounded queue, nonzero shed, same-seed determinism, offline-identical verdicts)"
+echo "==> serve smoke (seeded overload: bounded queue, nonzero shed, same-seed determinism, offline-identical fresh and degraded verdicts)"
 cargo bench -q -p pinning-bench --bench serve --offline -- smoke
-for key in '"schema": "pinning-bench/serve"' '"same_seed_runs_identical": true' '"offline_identical_verdicts"'; do
+for key in '"schema": "pinning-bench/serve"' '"same_seed_runs_identical": true' '"offline_identical_verdicts"' '"offline_identical_degraded_verdicts"'; do
   grep -qF "$key" BENCH_serve.json || { echo "BENCH_serve.json missing $key"; exit 1; }
 done
 

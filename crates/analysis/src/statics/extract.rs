@@ -1,53 +1,99 @@
 //! File-level extraction (§4.1.2): certificate assets, PEM blobs, and
 //! string pools of dex/native/Mach-O binaries.
+//!
+//! The paper runs `strings` over each binary and greps the dump for pins
+//! and PEM armour. [`scan_file`] finds the same things in one walk over
+//! the file's own bytes ([`scanner::hits`]), allocating only for what it
+//! finds: a pin is a printable match, so it never spans a run boundary,
+//! and an armour line is widened to its enclosing printable run, which is
+//! decoded once, as the per-run grep decoded it (DESIGN.md §7).
 
-use super::scanner;
+use super::scanner::{self, Hit};
 use super::{FoundPin, Located, StaticFindings};
-use pinning_app::package::{extract_strings, AppPackage, FileContent};
+use pinning_app::package::{AppFile, ContentRef};
 use pinning_pki::encode::pem_decode_all;
+use pinning_pki::pin::SpkiPin;
 use pinning_pki::Certificate;
 
-/// File extensions treated as certificate material (§4.1.2's list).
+/// File extensions treated as certificate material (§4.1.2's list),
+/// matched case-insensitively.
 pub const CERT_EXTENSIONS: [&str; 5] = ["der", "pem", "crt", "cert", "cer"];
 
-/// Minimum printable-string length when dumping binaries (radare2 default).
-const MIN_STRING_LEN: usize = 6;
+/// Scans one file of a package, populating `findings`. `content` is what
+/// the scan reads for `file`: its own content, or its plaintext when the
+/// package is encrypted ([`pinning_app::package::AppPackage::readable`]).
+pub fn scan_file(file: &AppFile, content: ContentRef<'_>, findings: &mut StaticFindings) {
+    let path = &file.path;
+    let is_cert_ext = file
+        .extension()
+        .is_some_and(|e| CERT_EXTENSIONS.iter().any(|c| e.eq_ignore_ascii_case(c)));
 
-/// Scans every file in a (decrypted) package, populating `findings`.
-pub fn scan_files(package: &AppPackage, findings: &mut StaticFindings) {
-    for file in &package.files {
-        let ext = file.extension();
-        let is_cert_ext = ext.as_deref().is_some_and(|e| CERT_EXTENSIONS.contains(&e));
-
-        match &file.content {
-            FileContent::Text(text) => {
-                if is_cert_ext || text.contains("-----BEGIN CERTIFICATE-----") {
-                    collect_pem_certs(&file.path, text, findings);
+    match content {
+        ContentRef::Text(text) => {
+            let mut armoured = false;
+            for hit in scanner::hits(text.as_bytes()) {
+                match hit {
+                    Hit::Pin { start, end, .. } => {
+                        push_pin(path, text.as_bytes(), start, end, findings)
+                    }
+                    Hit::Armour(_) => armoured = true,
                 }
-                collect_pins(&file.path, text, findings);
             }
-            FileContent::Binary(bytes) => {
-                if is_cert_ext {
-                    // Try DER first, then PEM-in-binary.
-                    if let Ok(cert) = Certificate::from_der(bytes) {
-                        findings.embedded_certs.push(Located {
-                            path: file.path.clone(),
-                            value: cert,
-                        });
-                    } else if let Ok(text) = core::str::from_utf8(bytes) {
-                        collect_pem_certs(&file.path, text, findings);
-                    }
+            if is_cert_ext || armoured {
+                collect_pem_certs(path, text, findings);
+            }
+        }
+        ContentRef::Binary(bytes) => {
+            if is_cert_ext {
+                // Try DER first, then PEM-in-binary.
+                if let Ok(cert) = Certificate::from_der(bytes) {
+                    findings.embedded_certs.push(Located {
+                        path: path.clone(),
+                        value: cert,
+                    });
+                } else if let Ok(text) = core::str::from_utf8(bytes) {
+                    collect_pem_certs(path, text, findings);
                 }
-                // Strings pass over every binary (dex pools, .so, Mach-O).
-                for s in extract_strings(bytes, MIN_STRING_LEN) {
-                    collect_pins(&file.path, &s, findings);
-                    if s.contains("-----BEGIN CERTIFICATE-----") {
-                        collect_pem_certs(&file.path, &s, findings);
+            }
+            // The strings pass over every binary (dex pools, .so, Mach-O).
+            // An armoured run is decoded whole, once, from its first byte:
+            // a BEGIN without an END drops every block in its run, and the
+            // decoder's input budget counts the whole run, as when each
+            // `strings` run was grepped on its own.
+            let mut decoded_to = 0;
+            for hit in scanner::hits(bytes) {
+                match hit {
+                    Hit::Pin { start, end, .. } => push_pin(path, bytes, start, end, findings),
+                    Hit::Armour(at) if at >= decoded_to => {
+                        let (run_start, run_end) = printable_run(bytes, at);
+                        if let Ok(run) = core::str::from_utf8(&bytes[run_start..run_end]) {
+                            collect_pem_certs(path, run, findings);
+                        }
+                        decoded_to = run_end;
                     }
+                    Hit::Armour(_) => {}
                 }
             }
         }
     }
+}
+
+/// Printable ASCII: the bytes `strings` keeps.
+fn is_printable(b: u8) -> bool {
+    (0x20..0x7f).contains(&b)
+}
+
+/// The run of printable bytes around offset `at`, as a half-open range.
+fn printable_run(bytes: &[u8], at: usize) -> (usize, usize) {
+    let start = bytes[..at]
+        .iter()
+        .rposition(|&b| !is_printable(b))
+        .map_or(0, |i| i + 1);
+    let end = bytes[at..]
+        .iter()
+        .position(|&b| !is_printable(b))
+        .map_or(bytes.len(), |i| at + i);
+    (start, end)
 }
 
 fn collect_pem_certs(path: &str, text: &str, findings: &mut StaticFindings) {
@@ -64,14 +110,18 @@ fn collect_pem_certs(path: &str, text: &str, findings: &mut StaticFindings) {
     }
 }
 
-fn collect_pins(path: &str, text: &str, findings: &mut StaticFindings) {
-    for m in scanner::scan_pins(text) {
-        let parsed = m.parse();
-        findings.pin_strings.push(Located {
-            path: path.to_string(),
-            value: FoundPin { raw: m.raw, parsed },
-        });
-    }
+/// Records the pin match `bytes[start..end]`: the one allocation per find.
+fn push_pin(path: &str, bytes: &[u8], start: usize, end: usize, findings: &mut StaticFindings) {
+    let Ok(raw) = core::str::from_utf8(&bytes[start..end]) else {
+        return; // unreachable: a match is ASCII
+    };
+    findings.pin_strings.push(Located {
+        path: path.to_string(),
+        value: FoundPin {
+            raw: raw.to_string(),
+            parsed: SpkiPin::parse(raw),
+        },
+    });
 }
 
 #[cfg(test)]

@@ -3,6 +3,8 @@
 pub mod attribution;
 pub mod extract;
 pub mod nsc;
+#[cfg(test)]
+mod reference;
 pub mod scanner;
 
 use pinning_app::package::AppPackage;
@@ -67,27 +69,21 @@ impl StaticFindings {
 /// required; without it the scan sees ciphertext and reports
 /// [`StaticFindings::scan_blocked_encrypted`].
 pub fn analyze_package(package: &AppPackage, decryption_key: Option<u64>) -> StaticFindings {
-    let decrypted;
-    let view = if package.encrypted {
-        match decryption_key {
-            Some(key) => {
-                decrypted = package.clone().decrypt(key);
-                &decrypted
-            }
-            None => {
-                return StaticFindings {
-                    scan_blocked_encrypted: true,
-                    ..Default::default()
-                }
-            }
-        }
-    } else {
-        package
-    };
-
+    if package.encrypted && decryption_key.is_none() {
+        return StaticFindings {
+            scan_blocked_encrypted: true,
+            ..Default::default()
+        };
+    }
     let mut findings = StaticFindings::default();
-    extract::scan_files(view, &mut findings);
-    nsc::scan_nsc(view, &mut findings);
+    // One buffer holds each decrypted file in turn; plaintext files are
+    // read in place.
+    let mut plaintext = Vec::new();
+    for file in &package.files {
+        let content = package.readable(file, decryption_key, &mut plaintext);
+        extract::scan_file(file, content, &mut findings);
+    }
+    nsc::scan_nsc(package, decryption_key, &mut findings);
     findings
 }
 

@@ -12,8 +12,10 @@ use pinning_app::package::AppPackage;
 use pinning_app::platform::Platform;
 use pinning_app::xml;
 
-/// Scans the manifest + NSC resource, populating `findings`.
-pub fn scan_nsc(package: &AppPackage, findings: &mut StaticFindings) {
+/// Scans the manifest + NSC resource, populating `findings`. An encrypted
+/// package is read through `decryption_key`, as
+/// [`AppPackage::readable`] reads it.
+pub fn scan_nsc(package: &AppPackage, decryption_key: Option<u64>, findings: &mut StaticFindings) {
     if package.platform != Platform::Android {
         // iOS's equivalent (NSPinnedDomains) shipped in iOS 14, after the
         // paper's device image — Table 3 has no iOS config-file column.
@@ -22,7 +24,11 @@ pub fn scan_nsc(package: &AppPackage, findings: &mut StaticFindings) {
     let Some(manifest_file) = package.file("AndroidManifest.xml") else {
         return;
     };
-    let Some(manifest_text) = manifest_file.content.as_text() else {
+    let mut plaintext = Vec::new();
+    let Some(manifest_text) = package
+        .readable(manifest_file, decryption_key, &mut plaintext)
+        .as_text()
+    else {
         return;
     };
     let Ok(manifest) = xml::parse(manifest_text) else {
@@ -44,7 +50,11 @@ pub fn scan_nsc(package: &AppPackage, findings: &mut StaticFindings) {
     let Some(nsc_file) = package.file(&path) else {
         return;
     };
-    let Some(nsc_text) = nsc_file.content.as_text() else {
+    let mut plaintext = Vec::new();
+    let Some(nsc_text) = package
+        .readable(nsc_file, decryption_key, &mut plaintext)
+        .as_text()
+    else {
         return;
     };
     let Ok(nsc) = NetworkSecurityConfig::from_xml(nsc_text) else {

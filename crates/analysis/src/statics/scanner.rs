@@ -4,7 +4,7 @@
 //! The length band `{28,64}` deliberately covers base64 SHA-1 (28 chars),
 //! base64 SHA-256 (44), hex SHA-1 (40) and hex SHA-256 (64) digests. We
 //! implement the match directly instead of pulling in a regex engine —
-//! the pattern is fixed and the scanner runs over every string in every
+//! the pattern is fixed and the scanner runs over every byte of every
 //! package, so it is also the hottest loop in static analysis.
 
 use pinning_pki::pin::{PinAlgorithm, SpkiPin};
@@ -32,69 +32,140 @@ fn is_b64_char(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'+' || c == b'/' || c == b'='
 }
 
-/// Scans `text` for every occurrence of the pin pattern.
-pub fn scan_pins(text: &str) -> Vec<PinMatch> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        // Find the next 's' that could start "sha".
-        let Some(off) = bytes[i..].iter().position(|&b| b == b's') else {
-            break;
-        };
-        let start = i + off;
-        i = start + 1;
-        let rest = &bytes[start..];
-        let (alg, prefix_len) = if rest.starts_with(b"sha256/") {
-            (PinAlgorithm::Sha256, 7)
-        } else if rest.starts_with(b"sha1/") {
-            (PinAlgorithm::Sha1, 5)
-        } else {
-            continue;
-        };
-        let body_start = start + prefix_len;
-        let mut end = body_start;
-        while end < bytes.len() && end - body_start < 64 && is_b64_char(bytes[end]) {
-            end += 1;
-        }
-        let body_len = end - body_start;
-        if body_len < 28 {
-            continue;
-        }
-        out.push(PinMatch {
-            raw: text[start..end].to_string(),
-            alg,
-            body: text[body_start..end].to_string(),
-        });
-        i = end;
-    }
-    out
+/// The PEM armour line that opens a certificate block.
+const BEGIN_CERT: &[u8] = pinning_pki::encode::PEM_BEGIN_CERT.as_bytes();
+
+/// Longest body the pattern's `{28,64}` band takes.
+const MAX_BODY: usize = 64;
+
+/// Shortest body the pattern's `{28,64}` band takes.
+const MIN_BODY: usize = 28;
+
+/// One thing [`hits`] found, located by byte offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hit {
+    /// A pin match: `shaN/` from `start`, its body from `body_start`, both
+    /// ending at `end` (exclusive).
+    Pin {
+        /// Algorithm from the prefix.
+        alg: PinAlgorithm,
+        /// Offset of the `s` of `shaN/`.
+        start: usize,
+        /// Offset of the body's first character.
+        body_start: usize,
+        /// Offset one past the body's last character.
+        end: usize,
+    },
+    /// A `-----BEGIN CERTIFICATE-----` line starts at this offset.
+    Armour(usize),
 }
 
-/// Scans `text` for hex-encoded digests of exactly SHA-1 (40) or SHA-256
-/// (64) length, as some implementations store pins hex-encoded without a
-/// `shaN/` prefix. Conservative: requires word boundaries.
-pub fn scan_bare_hex_digests(text: &str) -> Vec<String> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if !bytes[i].is_ascii_hexdigit() {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < bytes.len() && bytes[i].is_ascii_hexdigit() {
-            i += 1;
-        }
-        let len = i - start;
-        let bounded = (start == 0 || !bytes[start - 1].is_ascii_alphanumeric())
-            && (i == bytes.len() || !bytes[i].is_ascii_alphanumeric());
-        if bounded && (len == 40 || len == 64) {
-            out.push(text[start..i].to_string());
+/// Walks `bytes` once for both things §4.1.2 greps a `strings` dump for:
+/// every pin match (exactly the matches of [`scan_pins`]) and every PEM
+/// BEGIN line, in offset order.
+///
+/// Every byte of a match and of the armour line is printable ASCII, so no
+/// hit spans a non-printable byte: a walk over a whole binary finds what a
+/// walk over each of its printable runs finds, without cutting the runs
+/// out first.
+pub fn hits(bytes: &[u8]) -> Hits<'_> {
+    Hits { bytes, pos: 0 }
+}
+
+/// The iterator [`hits`] returns.
+#[derive(Debug, Clone)]
+pub struct Hits<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Iterator for Hits<'_> {
+    type Item = Hit;
+
+    fn next(&mut self) -> Option<Hit> {
+        loop {
+            let start = next_candidate(self.bytes, self.pos)?;
+            self.pos = start + 1;
+            let rest = &self.bytes[start..];
+            if rest.starts_with(BEGIN_CERT) {
+                return Some(Hit::Armour(start));
+            }
+            let (alg, prefix_len) = if rest.starts_with(b"sha256/") {
+                (PinAlgorithm::Sha256, 7)
+            } else if rest.starts_with(b"sha1/") {
+                (PinAlgorithm::Sha1, 5)
+            } else {
+                continue;
+            };
+            let body_start = start + prefix_len;
+            let body_len = self.bytes[body_start..]
+                .iter()
+                .take(MAX_BODY)
+                .take_while(|&&b| is_b64_char(b))
+                .count();
+            if body_len < MIN_BODY {
+                continue;
+            }
+            let end = body_start + body_len;
+            self.pos = end;
+            return Some(Hit::Pin {
+                alg,
+                start,
+                body_start,
+                end,
+            });
         }
     }
-    out
+}
+
+/// Offset of the first `s` or `-` at or after `from`: the only bytes a
+/// pin or an armour line can start with.
+///
+/// Tests eight bytes per step as one word: a byte of `v ^ splat(c)` is
+/// zero where `v` holds `c`, and the lowest flag the zero-byte test
+/// raises is exact (borrows only run toward higher bytes).
+fn next_candidate(bytes: &[u8], from: usize) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let zero_bytes = |v: u64| v.wrapping_sub(ONES) & !v & HIGHS;
+    let is_candidate = |b: u8| b == b's' || b == b'-';
+    let tail = bytes.get(from..)?;
+    let mut words = tail.chunks_exact(8);
+    let mut offset = from;
+    for word in &mut words {
+        let mut v = [0u8; 8];
+        v.copy_from_slice(word);
+        let v = u64::from_le_bytes(v);
+        let hits = zero_bytes(v ^ (ONES * b's' as u64)) | zero_bytes(v ^ (ONES * b'-' as u64));
+        if hits != 0 {
+            return Some(offset + hits.trailing_zeros() as usize / 8);
+        }
+        offset += 8;
+    }
+    words
+        .remainder()
+        .iter()
+        .position(|&b| is_candidate(b))
+        .map(|i| offset + i)
+}
+
+/// Scans `text` for every occurrence of the pin pattern.
+pub fn scan_pins(text: &str) -> Vec<PinMatch> {
+    hits(text.as_bytes())
+        .filter_map(|hit| match hit {
+            Hit::Pin {
+                alg,
+                start,
+                body_start,
+                end,
+            } => Some(PinMatch {
+                raw: text.get(start..end)?.to_string(),
+                alg,
+                body: text.get(body_start..end)?.to_string(),
+            }),
+            Hit::Armour(_) => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -173,17 +244,6 @@ mod tests {
         let digest = sha256(b"spki");
         let b64: String = b64encode(&digest).chars().rev().collect();
         assert!(scan_pins(&b64).is_empty());
-    }
-
-    #[test]
-    fn bare_hex_scanner() {
-        let h40 = "a".repeat(40);
-        let h64 = "0123456789abcdef".repeat(4);
-        let text = format!("x {h40} y {h64} z deadbeef");
-        let found = scan_bare_hex_digests(&text);
-        assert_eq!(found.len(), 2);
-        // Embedded in a longer word → rejected.
-        assert!(scan_bare_hex_digests(&format!("Q{h40}")).is_empty());
     }
 
     #[test]

@@ -43,6 +43,34 @@ impl FileContent {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The content, borrowed.
+    pub fn view(&self) -> ContentRef<'_> {
+        match self {
+            FileContent::Text(s) => ContentRef::Text(s),
+            FileContent::Binary(b) => ContentRef::Binary(b),
+        }
+    }
+}
+
+/// Borrowed file content: what static analysis reads, whether it is a
+/// file's own bytes or its plaintext in a reused decryption buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ContentRef<'a> {
+    /// UTF-8 text.
+    Text(&'a str),
+    /// Raw bytes.
+    Binary(&'a [u8]),
+}
+
+impl<'a> ContentRef<'a> {
+    /// Content as text, if valid UTF-8 (as [`FileContent::as_text`]).
+    pub fn as_text(self) -> Option<&'a str> {
+        match self {
+            ContentRef::Text(s) => Some(s),
+            ContentRef::Binary(b) => core::str::from_utf8(b).ok(),
+        }
+    }
 }
 
 /// One file inside a package.
@@ -71,11 +99,12 @@ impl AppFile {
         }
     }
 
-    /// File extension (lowercased), if any.
-    pub fn extension(&self) -> Option<String> {
+    /// File extension, as written in the path (compare it with
+    /// `eq_ignore_ascii_case`), if any.
+    pub fn extension(&self) -> Option<&str> {
         let name = self.path.rsplit('/').next()?;
         let (_, ext) = name.rsplit_once('.')?;
-        Some(ext.to_ascii_lowercase())
+        Some(ext)
     }
 }
 
@@ -184,7 +213,8 @@ impl AppPackage {
             if Self::stays_plaintext(&f.path) {
                 continue;
             }
-            let bytes = xor_stream(f.content.as_bytes(), seed, &f.path);
+            let mut bytes = Vec::new();
+            xor_stream_into(f.content.as_bytes(), seed, &f.path, &mut bytes);
             f.content = FileContent::Binary(bytes);
         }
         self.encrypted = true;
@@ -197,22 +227,39 @@ impl AppPackage {
     /// device exposes).
     pub fn decrypt(mut self, seed: u64) -> AppPackage {
         assert!(self.encrypted, "not encrypted");
+        let mut scratch = Vec::new();
         for f in &mut self.files {
             if Self::stays_plaintext(&f.path) {
                 continue;
             }
-            let bytes = xor_stream(f.content.as_bytes(), seed, &f.path);
-            // Restore text-ness where the plaintext is valid UTF-8 *and*
-            // looks textual (config/PEM files).
-            f.content = match String::from_utf8(bytes) {
-                Ok(s) if looks_textual(&s) => FileContent::Text(s),
-                Ok(s) => FileContent::Binary(s.into_bytes()),
-                Err(e) => FileContent::Binary(e.into_bytes()),
+            f.content = match decrypt_into(f, seed, &mut scratch) {
+                ContentRef::Text(s) => FileContent::Text(s.to_string()),
+                ContentRef::Binary(b) => FileContent::Binary(b.to_vec()),
             };
         }
         self.encrypted = false;
         self.invalidate_content_hash();
         self
+    }
+
+    /// The content of `file` (one of this package's files) as
+    /// [`AppPackage::decrypt`] would leave it: when the package is
+    /// encrypted and `seed` is given, the file's plaintext, written into
+    /// `scratch`; otherwise the file's own content, borrowed. Scanning a
+    /// package file by file through this view reads what scanning
+    /// `self.clone().decrypt(seed)` reads, without cloning the package.
+    pub fn readable<'a>(
+        &self,
+        file: &'a AppFile,
+        seed: Option<u64>,
+        scratch: &'a mut Vec<u8>,
+    ) -> ContentRef<'a> {
+        match seed {
+            Some(seed) if self.encrypted && !Self::stays_plaintext(&file.path) => {
+                decrypt_into(file, seed, scratch)
+            }
+            _ => file.content.view(),
+        }
     }
 
     fn stays_plaintext(path: &str) -> bool {
@@ -222,20 +269,35 @@ impl AppPackage {
     }
 }
 
-fn xor_stream(data: &[u8], seed: u64, path: &str) -> Vec<u8> {
+/// Writes `data` XORed with the key stream of (`seed`, `path`) into `out`,
+/// replacing its contents. The key stream is the little-endian bytes of
+/// successive `SplitMix64` outputs.
+fn xor_stream_into(data: &[u8], seed: u64, path: &str, out: &mut Vec<u8>) {
     let mut rng = SplitMix64::new(seed).derive(path);
-    let mut out = data.to_vec();
-    let mut key = [0u8; 64];
-    let mut i = 0;
-    while i < out.len() {
-        rng.fill_bytes(&mut key);
-        let n = key.len().min(out.len() - i);
-        for j in 0..n {
-            out[i + j] ^= key[j];
+    out.clear();
+    out.extend_from_slice(data);
+    let mut words = out.chunks_exact_mut(8);
+    for word in &mut words {
+        let key = rng.next_u64().to_le_bytes();
+        for (b, k) in word.iter_mut().zip(key) {
+            *b ^= k;
         }
-        i += n;
     }
-    out
+    let key = rng.next_u64().to_le_bytes();
+    for (b, k) in words.into_remainder().iter_mut().zip(key) {
+        *b ^= k;
+    }
+}
+
+/// Decrypts `file` into `scratch` and restores text-ness where the
+/// plaintext is valid UTF-8 *and* looks textual (config/PEM files).
+fn decrypt_into<'a>(file: &AppFile, seed: u64, scratch: &'a mut Vec<u8>) -> ContentRef<'a> {
+    xor_stream_into(file.content.as_bytes(), seed, &file.path, scratch);
+    let plain: &'a [u8] = scratch;
+    match core::str::from_utf8(plain) {
+        Ok(s) if looks_textual(s) => ContentRef::Text(s),
+        _ => ContentRef::Binary(plain),
+    }
 }
 
 fn looks_textual(s: &str) -> bool {
@@ -325,14 +387,9 @@ mod tests {
 
     #[test]
     fn extension_parsing() {
-        assert_eq!(
-            AppFile::text("assets/ca.pem", "x").extension().as_deref(),
-            Some("pem")
-        );
-        assert_eq!(
-            AppFile::text("a/b/C.DER", "x").extension().as_deref(),
-            Some("der")
-        );
+        assert_eq!(AppFile::text("assets/ca.pem", "x").extension(), Some("pem"));
+        assert_eq!(AppFile::text("a/b/C.DER", "x").extension(), Some("DER"));
+        assert_eq!(AppFile::text("a.b/noext", "x").extension(), None);
         assert_eq!(AppFile::text("noext", "x").extension(), None);
     }
 
@@ -362,6 +419,65 @@ mod tests {
         );
         let dec = enc.decrypt(0x5EED);
         assert_eq!(dec, pkg);
+    }
+
+    /// The key stream as it was drawn before decryption wrote in place:
+    /// one 64-byte `fill_bytes` block at a time.
+    fn xor_stream_in_blocks(data: &[u8], seed: u64, path: &str) -> Vec<u8> {
+        let mut rng = SplitMix64::new(seed).derive(path);
+        let mut out = data.to_vec();
+        let mut key = [0u8; 64];
+        for block in out.chunks_mut(64) {
+            rng.fill_bytes(&mut key);
+            for (b, k) in block.iter_mut().zip(key) {
+                *b ^= k;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn key_stream_matches_block_draws() {
+        let mut rng = SplitMix64::new(3);
+        let mut out = vec![0xAA; 300];
+        for len in 0..200 {
+            let mut data = vec![0u8; len];
+            rng.fill_bytes(&mut data);
+            xor_stream_into(&data, 7, "Payload/App.app/App", &mut out);
+            assert_eq!(out, xor_stream_in_blocks(&data, 7, "Payload/App.app/App"));
+        }
+    }
+
+    #[test]
+    fn readable_reads_what_decrypt_leaves() {
+        let pkg = AppPackage::new(
+            Platform::Ios,
+            vec![
+                AppFile::text("Payload/App.app/Info.plist", "<plist/>"),
+                AppFile::text("Payload/App.app/config.json", "{\"pin\":\"sha256/AAA\"}"),
+                AppFile::binary("Payload/App.app/App", vec![1, 2, 3, 255, 0, 42]),
+                AppFile::binary("Payload/App.app/ctl", b"valid utf-8\x01 not text".to_vec()),
+                AppFile::text("Payload/App.app/empty.txt", ""),
+            ],
+        );
+        let enc = pkg.clone().encrypt(0x5EED);
+        let dec = enc.clone().decrypt(0x5EED);
+        let mut scratch = Vec::new();
+        for (f, d) in enc.files.iter().zip(&dec.files) {
+            assert_eq!(
+                enc.readable(f, Some(0x5EED), &mut scratch),
+                d.content.view()
+            );
+            assert_eq!(enc.readable(f, None, &mut scratch), f.content.view());
+        }
+        for f in &pkg.files {
+            assert_eq!(
+                pkg.readable(f, Some(0x5EED), &mut scratch),
+                f.content.view()
+            );
+        }
+        assert!(matches!(dec.files[1].content, FileContent::Text(_)));
+        assert!(matches!(dec.files[3].content, FileContent::Binary(_)));
     }
 
     #[test]

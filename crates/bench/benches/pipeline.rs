@@ -3,7 +3,7 @@
 use pinning_analysis::dynamics::pipeline::{analyze_app, DynamicEnv};
 use pinning_analysis::statics::{analyze_package, scanner};
 use pinning_app::platform::Platform;
-use pinning_bench::{shared_world, time_bench};
+use pinning_bench::{bench_world_config, shared_world, time_bench, time_bench_stats};
 use pinning_crypto::sha256;
 use pinning_netsim::device::RunConfig;
 use pinning_pki::validate::{validate_chain, RevocationList, ValidationMemo, ValidationOptions};
@@ -86,6 +86,22 @@ fn main() {
             Some(world.config.ios_encryption_seed),
         ));
     });
+
+    // --- static scan of every app of a world, per app ---
+    let bench_world = World::generate(bench_world_config(101));
+    for (label, w) in [("shared", world), ("bench_101", &bench_world)] {
+        let key = Some(w.config.ios_encryption_seed);
+        let stats = time_bench_stats(&format!("static_scan_every_app_{label}"), ITERS, || {
+            for app in &w.apps {
+                black_box(analyze_package(&app.package, key));
+            }
+        });
+        println!(
+            "static scan, {label} world: {:.2} µs per app (median over {} apps)",
+            stats.median_ns / 1e3 / w.apps.len() as f64,
+            w.apps.len()
+        );
+    }
 
     // --- one device run + full differential analysis ---
     let env = DynamicEnv::new(

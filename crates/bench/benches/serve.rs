@@ -9,8 +9,9 @@
 //! - under burst the service sheds and degrades instead of queueing
 //!   unboundedly (nonzero shed + degraded + breaker trips);
 //! - two same-seed runs produce *identical* responses and counters;
-//! - every fresh chain verdict is byte-identical to the offline library's
-//!   (`pinning_pki::validate::validate_chain`) for the same request;
+//! - every chain verdict, fresh or degraded, is byte-identical to the
+//!   offline library's (`pinning_pki::validate::validate_chain`) for the
+//!   same request;
 //! - the hostile fraction never panics the service (the run completing is
 //!   the assertion — hostile bodies come back as structured answers).
 //!
@@ -79,22 +80,34 @@ fn run_once(
     (responses, summary, wall_ms)
 }
 
-/// Checks every fresh chain verdict against the offline library: same
-/// chain, same hostname, same options — the answers must be `==`.
-/// Returns the number of verdicts checked.
+/// Chain verdicts checked against the offline library, by how they were
+/// served.
+#[derive(Debug, Default)]
+struct OfflineIdentical {
+    /// `Ok(ChainVerdict)`: served fresh.
+    fresh: u64,
+    /// `Degraded(ChainVerdict)`: served from cache during brownout.
+    degraded: u64,
+}
+
+/// Checks every chain verdict, fresh or degraded, against the offline
+/// library: same chain, same hostname, same options — the answers must be
+/// `==`. Returns the number of verdicts checked of each kind.
 fn verify_offline_identity(
     world: &World,
     requests: &[pinning_serve::ServeRequest],
     responses: &[Response],
-) -> Result<u64, String> {
+) -> Result<OfflineIdentical, String> {
     let by_id: HashMap<u64, &pinning_serve::ServeRequest> =
         requests.iter().map(|r| (r.id, r)).collect();
     let crl = RevocationList::empty();
     let options = ValidationOptions::default();
-    let mut checked = 0u64;
+    let mut checked = OfflineIdentical::default();
     for resp in responses {
-        let Outcome::Ok(Payload::ChainVerdict(served)) = &resp.outcome else {
-            continue;
+        let (served, count) = match &resp.outcome {
+            Outcome::Ok(Payload::ChainVerdict(v)) => (v, &mut checked.fresh),
+            Outcome::Degraded(Payload::ChainVerdict(v)) => (v, &mut checked.degraded),
+            _ => continue,
         };
         let req = by_id[&resp.id];
         let RequestBody::ValidateChain {
@@ -127,11 +140,11 @@ fn verify_offline_identity(
         );
         if &offline != served {
             return Err(format!(
-                "request {}: served verdict {served:?} != offline {offline:?}",
-                req.id
+                "request {}: served verdict {:?} != offline {offline:?}",
+                req.id, resp.outcome
             ));
         }
-        checked += 1;
+        *count += 1;
     }
     Ok(checked)
 }
@@ -264,14 +277,21 @@ fn main() {
     }
 
     let verified = match verify_offline_identity(&world, &load.requests, &responses_a) {
-        Ok(0) => {
-            failures.push("no fresh chain verdicts to verify against the offline library".into());
-            0
+        Ok(checked) => {
+            if checked.fresh == 0 {
+                failures
+                    .push("no fresh chain verdicts to verify against the offline library".into());
+            }
+            if checked.degraded == 0 {
+                failures.push(
+                    "no degraded chain verdicts to verify against the offline library".into(),
+                );
+            }
+            checked
         }
-        Ok(n) => n,
         Err(e) => {
             failures.push(format!("offline identity violated: {e}"));
-            0
+            OfflineIdentical::default()
         }
     };
 
@@ -294,6 +314,7 @@ fn main() {
             "  \"served_per_ktick\": {thr:.3},\n",
             "  \"wall_ms\": [{wall_a:.1}, {wall_b:.1}],\n",
             "  \"offline_identical_verdicts\": {verified},\n",
+            "  \"offline_identical_degraded_verdicts\": {verified_degraded},\n",
             "  \"same_seed_runs_identical\": {identical},\n",
             "  \"summary\": {summary}\n",
             "}}\n"
@@ -312,7 +333,8 @@ fn main() {
         thr = served as f64 * 1_000.0 / makespan as f64,
         wall_a = wall_a,
         wall_b = wall_b,
-        verified = verified,
+        verified = verified.fresh,
+        verified_degraded = verified.degraded,
         identical = responses_a == responses_b && summary_a == summary_b,
         summary = summary_a.to_json(),
     );
@@ -348,7 +370,7 @@ fn main() {
         "serve bench: {} requests, p50/p99/p999 = {}/{}/{} ticks, \
          shed {} (queue {} / breaker {} / degraded-miss {}), degraded {}, \
          brownouts {}, breaker trips {}, cache hit rate {:.3}, \
-         {} offline-identical verdicts",
+         {} + {} degraded offline-identical verdicts",
         summary_a.total,
         summary_a.p50,
         summary_a.p99,
@@ -361,7 +383,8 @@ fn main() {
         summary_a.brownout_entries,
         summary_a.breaker_trips,
         summary_a.cache_hit_rate(),
-        verified,
+        verified.fresh,
+        verified.degraded,
     );
 
     if !failures.is_empty() {

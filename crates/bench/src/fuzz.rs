@@ -287,6 +287,9 @@ pub fn all_targets() -> Vec<FuzzTarget> {
     ];
     let hex_corpus = vec![hex_encode(&blob).into_bytes()];
 
+    // --- static scan ---------------------------------------------------
+    let statics_corpus = statics_corpus(&root.cert, &mut rng);
+
     let strict = pinning_pki::limits::Budget::strict();
     vec![
         FuzzTarget {
@@ -346,6 +349,11 @@ pub fn all_targets() -> Vec<FuzzTarget> {
             }),
         },
         FuzzTarget {
+            name: "statics",
+            corpus: statics_corpus,
+            decode: Box::new(scan_blob),
+        },
+        FuzzTarget {
             name: "base64",
             corpus: b64_corpus,
             decode: Box::new(move |b| match std::str::from_utf8(b) {
@@ -378,6 +386,66 @@ fn assert_der_contract(input: &[u8], cert: &pinning_pki::Certificate) {
         "encoding differs from re-encoding"
     );
     assert_eq!(kept, fresh == input, "DER cell kept non-canonical input");
+}
+
+/// Dex-like blobs for the `statics` target: string pools with planted
+/// pins (base64 and hex bodies, one past the 64-character cap), a
+/// single-line PEM block, and a BEGIN line that no END closes.
+fn statics_corpus(cert: &pinning_pki::Certificate, rng: &mut SplitMix64) -> Vec<Vec<u8>> {
+    use pinning_app::package::binary_with_strings;
+    let der = cert.to_der();
+    let b64_pin = cert.spki_pin_string();
+    let hex_pin = format!("sha1/{}", hex_encode(&pinning_crypto::sha256(&der)));
+    let capped = format!("sha256/{}", "Q".repeat(70));
+    let pem_line = format!(
+        "{}{}{}",
+        pinning_pki::encode::PEM_BEGIN_CERT,
+        pinning_crypto::b64encode(&der),
+        pinning_pki::encode::PEM_END_CERT
+    );
+    let open_begin = format!("{} {}AAAA", pem_line, pinning_pki::encode::PEM_BEGIN_CERT);
+    [
+        vec![b64_pin.clone(), "okhttp3/CertificatePinner".to_string()],
+        vec![hex_pin, pem_line.clone(), capped],
+        vec![open_begin, b64_pin, pem_line],
+    ]
+    .iter()
+    .map(|strings| binary_with_strings(strings, rng, 256))
+    .collect()
+}
+
+/// The `statics` target: scans `blob` as a dex file and, when it is UTF-8,
+/// as a text file. Every pin found must be a substring of `blob` with a
+/// 28–64-character body; a breach panics. Accepted = anything was found.
+fn scan_blob(blob: &[u8]) -> bool {
+    use pinning_analysis::statics::analyze_package;
+    use pinning_app::package::{AppFile, AppPackage};
+    use pinning_app::platform::Platform;
+
+    let mut files = vec![AppFile::binary("classes.dex", blob.to_vec())];
+    if let Ok(text) = std::str::from_utf8(blob) {
+        files.push(AppFile::text("assets/strings.txt", text));
+    }
+    let findings = analyze_package(&AppPackage::new(Platform::Android, files), None);
+    for found in &findings.pin_strings {
+        let raw = found.value.raw.as_bytes();
+        let body = raw
+            .strip_prefix(b"sha256/")
+            .or_else(|| raw.strip_prefix(b"sha1/"))
+            .unwrap_or_default();
+        assert!(
+            (28..=64).contains(&body.len()),
+            "pin {:?} has a {}-character body",
+            found.value.raw,
+            body.len()
+        );
+        assert!(
+            blob.windows(raw.len()).any(|w| w == raw),
+            "pin {:?} is not in the input",
+            found.value.raw
+        );
+    }
+    findings.has_pin_material()
 }
 
 /// A realistic capture for the simcap corpus: two flows, mixed events,
