@@ -1,7 +1,6 @@
-//! Certificate analysis (§5.3): PKI class, pin level, SPKI-vs-raw, CT
-//! association, and validation-subversion checks.
+//! Certificate analysis (§5.3): PKI class, pin level, SPKI-vs-raw and CT
+//! association.
 
-use crate::dynamics::pipeline::AppDynamicResult;
 use crate::statics::StaticFindings;
 use pinning_ctlog::PinResolver;
 use pinning_netsim::network::Network;
@@ -90,27 +89,6 @@ fn classify_chain(
     PkiClass::CustomPki
 }
 
-/// Whether the destination presents a bare self-signed certificate
-/// (§5.3.1 found one per platform, with 27- and 10-year lifetimes).
-pub fn is_self_signed_destination(network: &Network, destination: &str) -> bool {
-    network
-        .resolve(destination)
-        .and_then(|s| (s.chain.len() == 1).then(|| s.chain.leaf().map(|l| l.is_self_signed())))
-        .flatten()
-        .unwrap_or(false)
-}
-
-/// §5.3.2's tally: CA-pinned vs leaf-pinned destinations, found by
-/// matching statically-found certificates (and CT-resolved pins) against
-/// the served chain *by Common Name* — the paper's matching key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PinLevelCounts {
-    /// Pins matched to CA certificates (root or intermediate).
-    pub ca: usize,
-    /// Pins matched to leaf certificates.
-    pub leaf: usize,
-}
-
 /// The Common Names an app's static material pins: embedded certificates
 /// plus CT-resolved pin strings. Computed once per app and reused across
 /// every destination the app pins (the set does not depend on the chain).
@@ -141,16 +119,6 @@ pub fn pin_level_with_cns(
         }
     }
     None
-}
-
-/// Matches one app's static material against one dynamically-pinned
-/// destination's chain.
-pub fn pin_level_for_destination(
-    findings: &StaticFindings,
-    resolver: &PinResolver<'_>,
-    chain: &CertificateChain,
-) -> Option<bool /* is_ca */> {
-    pin_level_with_cns(&static_pin_cns(findings, resolver), chain)
 }
 
 /// §4.1.3 / §5.3: fraction of unique well-formed pins resolvable through
@@ -185,31 +153,6 @@ pub fn ct_resolution_rate(
         })
         .count();
     (resolved, unique.len())
-}
-
-/// §5.3.4: verify no pinned destination served an expired-but-accepted
-/// certificate (evidence apps did *not* subvert standard validation).
-/// Returns the list of violations (expected empty).
-pub fn expired_but_pinned(
-    network: &Network,
-    results: &[(&AppDynamicResult, SimTime)],
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    for (res, now) in results {
-        for dest in res.pinned_destinations() {
-            let Some(server) = network.resolve(dest) else {
-                continue;
-            };
-            for cert in server.chain.certs() {
-                if !cert.tbs.validity.contains(*now) {
-                    violations.push(dest.to_string());
-                }
-            }
-        }
-    }
-    violations.sort();
-    violations.dedup();
-    violations
 }
 
 #[cfg(test)]
@@ -293,37 +236,24 @@ mod tests {
     }
 
     #[test]
-    fn no_expired_pinned_certs_in_generated_world() {
+    fn self_signed_oddball_is_custom_pki() {
+        // §5.3.1's self-signed oddballs are planted as `legacy.` hosts
+        // serving a bare self-signed certificate; Table 6 counts them as
+        // custom PKI through the same classifier.
         let w = world();
-        let env = crate::dynamics::pipeline::DynamicEnv::new(
-            &w.network,
-            w.universe.aosp_oem.clone(),
-            w.universe.ios.clone(),
-            w.now,
-            1,
-        );
-        let results: Vec<_> = w
-            .apps
-            .iter()
-            .filter(|a| a.pins_at_runtime())
-            .map(|a| crate::dynamics::pipeline::analyze_app(&env, a))
-            .collect();
-        let pairs: Vec<_> = results.iter().map(|r| (r, w.now)).collect();
-        assert!(expired_but_pinned(&w.network, &pairs).is_empty());
-    }
-
-    #[test]
-    fn self_signed_detection() {
-        let w = world();
-        let ss = w
+        let legacy = w
             .apps
             .iter()
             .flat_map(|a| &a.behavior.connections)
             .map(|c| c.domain.as_str())
-            .find(|d| d.starts_with("legacy."));
-        if let Some(d) = ss {
-            assert!(is_self_signed_destination(&w.network, d));
-        }
-        assert!(!is_self_signed_destination(&w.network, "api.twitter.com"));
+            .find(|d| d.starts_with("legacy."))
+            .expect("the generator plants a self-signed oddball");
+        let server = w.network.resolve(legacy).expect("planted host resolves");
+        assert_eq!(server.chain.len(), 1);
+        assert!(server.chain.leaf().is_some_and(|l| l.is_self_signed()));
+        let stores = [&w.universe.aosp_oem, &w.universe.ios];
+        let class =
+            classify_destination_pki(&w.network, &w.universe.mozilla, &stores, legacy, w.now);
+        assert_eq!(class, PkiClass::CustomPki, "{legacy}");
     }
 }

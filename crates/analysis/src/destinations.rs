@@ -1,8 +1,6 @@
 //! Pinned vs unpinned destinations, first- vs third-party (§5.2, Figure 5).
 
-use crate::dynamics::pipeline::AppDynamicResult;
-use pinning_app::app::MobileApp;
-use pinning_store::whois::{Party, WhoisRegistry};
+use pinning_store::whois::Party;
 
 /// One destination row in an app's Figure-5 bar.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,50 +63,6 @@ impl AppDestinationProfile {
     }
 }
 
-/// Builds the profile for one app from its dynamic result.
-pub fn profile_app(
-    app: &MobileApp,
-    result: &AppDynamicResult,
-    whois: &WhoisRegistry,
-) -> AppDestinationProfile {
-    let pinned: std::collections::BTreeSet<&str> =
-        result.pinned_destinations().into_iter().collect();
-    let entries = result
-        .used_destinations()
-        .into_iter()
-        .map(|d| DestinationEntry {
-            domain: d.to_string(),
-            pinned: pinned.contains(d),
-            party: whois.attribute(&app.developer_org, d),
-        })
-        .collect();
-    AppDestinationProfile {
-        app_name: app.name.clone(),
-        entries,
-    }
-}
-
-/// §5 summary claim: the majority of *pinned* destinations are third-party.
-pub fn third_party_share_of_pinned(profiles: &[AppDestinationProfile]) -> f64 {
-    let mut pinned = 0usize;
-    let mut third = 0usize;
-    for p in profiles {
-        for e in &p.entries {
-            if e.pinned {
-                pinned += 1;
-                if e.party == Party::Third {
-                    third += 1;
-                }
-            }
-        }
-    }
-    if pinned == 0 {
-        0.0
-    } else {
-        third as f64 / pinned as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,20 +103,6 @@ mod tests {
         };
         assert!(p.pins_everything());
         assert!(p.pins_all_first_party());
-    }
-
-    #[test]
-    fn third_party_share() {
-        let profiles = vec![AppDestinationProfile {
-            app_name: "A".into(),
-            entries: vec![
-                entry("api.a.com", true, Party::First),
-                entry("x.sdk.com", true, Party::Third),
-                entry("y.sdk.com", true, Party::Third),
-            ],
-        }];
-        assert!((third_party_share_of_pinned(&profiles) - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(third_party_share_of_pinned(&[]), 0.0);
     }
 
     #[test]

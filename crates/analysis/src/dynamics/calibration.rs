@@ -20,17 +20,6 @@ pub struct SleepSweep {
     pub sample_size: usize,
 }
 
-impl SleepSweep {
-    /// Fraction of the longest window's handshakes captured per window.
-    pub fn capture_fractions(&self) -> Vec<f64> {
-        let max = self.mean_handshakes.last().copied().unwrap_or(0.0);
-        if max == 0.0 {
-            return vec![0.0; self.mean_handshakes.len()];
-        }
-        self.mean_handshakes.iter().map(|m| m / max).collect()
-    }
-}
-
 /// Runs the sweep over `apps` with the given windows (paper: 15/30/60).
 pub fn sleep_time_sweep(env: &DynamicEnv<'_>, apps: &[&MobileApp], windows: &[u32]) -> SleepSweep {
     let mut mean_handshakes = Vec::with_capacity(windows.len());
@@ -77,7 +66,11 @@ mod tests {
         assert!(sweep.mean_handshakes[1] <= sweep.mean_handshakes[2]);
         // Diminishing returns: the 15→30 jump exceeds the 30→60 jump, and
         // 30 s already captures ≥90% (the paper's rationale for choosing it).
-        let f = sweep.capture_fractions();
+        let f: Vec<f64> = sweep
+            .mean_handshakes
+            .iter()
+            .map(|m| m / sweep.mean_handshakes[2])
+            .collect();
         assert!(f[1] >= 0.90, "30s fraction {}", f[1]);
         assert!(f[0] >= 0.70, "15s fraction {}", f[0]);
     }

@@ -292,10 +292,6 @@ fn fully_unobserved(
         .map(|k| k.as_error())
 }
 
-/// File extensions the screen treats as certificate material (mirrors the
-/// static scanner's list).
-const CERT_EXTENSIONS: [&str; 5] = ["der", "pem", "crt", "cert", "cer"];
-
 fn classify_xml_error(e: &xml::XmlError) -> MalformedKind {
     match e {
         xml::XmlError::UnexpectedEof => MalformedKind::Truncated,
@@ -322,8 +318,7 @@ fn screen_app_inputs(env: &DynamicEnv<'_>, app: &MobileApp) -> Result<(), Measur
     //    only inspect cleartext packages (the hostile cohort ships those).
     if !app.package.encrypted {
         for file in &app.package.files {
-            let ext = file.path.rsplit('.').next().unwrap_or("");
-            if CERT_EXTENSIONS.contains(&ext) {
+            if crate::statics::extract::is_cert_asset(file) {
                 screen_cert_asset(file)?;
             }
             if file.path.ends_with("network_security_config.xml") {
@@ -620,6 +615,34 @@ mod tests {
     /// What `screen_app_inputs` says about app `i` of `w`.
     fn screen(w: &World, i: usize) -> Result<(), MeasurementError> {
         screen_app_inputs(&env(w), &w.apps[i])
+    }
+
+    #[test]
+    fn garbage_cert_asset_is_screened_whatever_the_extension_case() {
+        for path in ["assets/pinned_ca.der", "assets/pinned_ca.DER"] {
+            let mut w = world();
+            let i = w
+                .apps
+                .iter()
+                .position(|a| !a.package.encrypted)
+                .expect("a tiny world has a cleartext package");
+            assert_eq!(screen(&w, i), Ok(()));
+            w.apps[i]
+                .package
+                .files
+                .push(pinning_app::package::AppFile::binary(path, vec![0xA5; 40]));
+            let verdict = screen(&w, i);
+            assert!(
+                matches!(
+                    verdict,
+                    Err(MeasurementError::MalformedInput {
+                        layer: InputLayer::Der,
+                        ..
+                    })
+                ),
+                "{path}: {verdict:?}"
+            );
+        }
     }
 
     #[test]

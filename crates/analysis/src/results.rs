@@ -26,14 +26,4 @@ impl AppAnalysis {
     pub fn pins(&self) -> bool {
         self.dynamic.pins()
     }
-
-    /// Table 3 static "Embedded Certificates" signal.
-    pub fn static_embedded_signal(&self) -> bool {
-        self.static_findings.has_pin_material()
-    }
-
-    /// Table 3 static "Configuration Files" signal (NSC).
-    pub fn static_nsc_signal(&self) -> bool {
-        self.static_findings.nsc_signal()
-    }
 }

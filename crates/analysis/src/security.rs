@@ -42,80 +42,3 @@ pub struct WeakCipherRow {
     /// Number of pinning apps.
     pub pinning_apps: usize,
 }
-
-/// Computes a Table 8 row over one dataset's results.
-pub fn weak_cipher_row(results: &[&AppDynamicResult]) -> WeakCipherRow {
-    let total_apps = results.len();
-    let overall = results
-        .iter()
-        .filter(|r| any_weak_offer(&r.baseline))
-        .count();
-    let pinners: Vec<_> = results.iter().filter(|r| r.pins()).collect();
-    let pinning_weak = pinners.iter().filter(|r| any_weak_pinned_offer(r)).count();
-    let pct = |n: usize, d: usize| {
-        if d == 0 {
-            0.0
-        } else {
-            100.0 * n as f64 / d as f64
-        }
-    };
-    WeakCipherRow {
-        overall_pct: pct(overall, total_apps),
-        pinning_pct: pct(pinning_weak, pinners.len()),
-        total_apps,
-        pinning_apps: pinners.len(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dynamics::pipeline::{analyze_app, DynamicEnv};
-    use pinning_app::platform::Platform;
-    use pinning_store::config::WorldConfig;
-    use pinning_store::world::World;
-
-    #[test]
-    fn ios_overall_weak_far_exceeds_android() {
-        let w = World::generate(WorldConfig::tiny(0x8a));
-        let env = DynamicEnv::new(
-            &w.network,
-            w.universe.aosp_oem.clone(),
-            w.universe.ios.clone(),
-            w.now,
-            2,
-        );
-        let mut android = Vec::new();
-        let mut ios = Vec::new();
-        for app in &w.apps {
-            let r = analyze_app(&env, app);
-            match app.id.platform {
-                Platform::Android => android.push(r),
-                Platform::Ios => ios.push(r),
-            }
-        }
-        let a_refs: Vec<&_> = android.iter().collect();
-        let i_refs: Vec<&_> = ios.iter().collect();
-        let a_row = weak_cipher_row(&a_refs);
-        let i_row = weak_cipher_row(&i_refs);
-        // Table 8 shape: iOS overall ≈ 80–95%, Android ≈ 3–20%.
-        assert!(
-            i_row.overall_pct > 60.0,
-            "iOS overall {}",
-            i_row.overall_pct
-        );
-        assert!(
-            a_row.overall_pct < 40.0,
-            "Android overall {}",
-            a_row.overall_pct
-        );
-        assert!(i_row.overall_pct > a_row.overall_pct + 30.0);
-    }
-
-    #[test]
-    fn empty_dataset_row_is_zero() {
-        let row = weak_cipher_row(&[]);
-        assert_eq!(row.overall_pct, 0.0);
-        assert_eq!(row.total_apps, 0);
-    }
-}

@@ -19,14 +19,19 @@ use pinning_pki::Certificate;
 /// matched case-insensitively.
 pub const CERT_EXTENSIONS: [&str; 5] = ["der", "pem", "crt", "cert", "cer"];
 
+/// Whether `file`'s extension marks it as certificate material: the one
+/// test both the static scan and the dynamic pipeline's input screen use.
+pub(crate) fn is_cert_asset(file: &AppFile) -> bool {
+    file.extension()
+        .is_some_and(|e| CERT_EXTENSIONS.iter().any(|c| e.eq_ignore_ascii_case(c)))
+}
+
 /// Scans one file of a package, populating `findings`. `content` is what
 /// the scan reads for `file`: its own content, or its plaintext when the
 /// package is encrypted ([`pinning_app::package::AppPackage::readable`]).
 pub fn scan_file(file: &AppFile, content: ContentRef<'_>, findings: &mut StaticFindings) {
     let path = &file.path;
-    let is_cert_ext = file
-        .extension()
-        .is_some_and(|e| CERT_EXTENSIONS.iter().any(|c| e.eq_ignore_ascii_case(c)));
+    let is_cert_ext = is_cert_asset(file);
 
     match content {
         ContentRef::Text(text) => {

@@ -83,11 +83,6 @@ impl MobileApp {
         out.dedup();
         out
     }
-
-    /// Whether `org` matches the app developer (case-insensitive).
-    pub fn is_first_party_org(&self, org: &str) -> bool {
-        self.developer_org.eq_ignore_ascii_case(org)
-    }
 }
 
 #[cfg(test)]

@@ -93,17 +93,6 @@ impl AppBehavior {
             .iter()
             .filter(move |c| c.at_secs <= window_secs && c.fires_under(mode))
     }
-
-    /// Distinct domains contacted within the window.
-    pub fn domains_within(&self, window_secs: u32, mode: Interaction) -> Vec<&str> {
-        let mut out: Vec<&str> = self
-            .within_window(window_secs, mode)
-            .map(|c| c.domain.as_str())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -122,12 +111,18 @@ mod tests {
         }
     }
 
+    fn domains_within(b: &AppBehavior, window_secs: u32, mode: Interaction) -> Vec<&str> {
+        b.within_window(window_secs, mode)
+            .map(|c| c.domain.as_str())
+            .collect()
+    }
+
     #[test]
     fn window_filters_by_time() {
         let b = behavior();
-        assert_eq!(b.domains_within(30, Interaction::None), vec!["a.com"]);
+        assert_eq!(domains_within(&b, 30, Interaction::None), vec!["a.com"]);
         assert_eq!(
-            b.domains_within(60, Interaction::None),
+            domains_within(&b, 60, Interaction::None),
             vec!["a.com", "b.com"]
         );
     }
@@ -136,21 +131,13 @@ mod tests {
     fn interaction_gating() {
         let b = behavior();
         assert_eq!(
-            b.domains_within(30, Interaction::RandomUi),
+            domains_within(&b, 30, Interaction::RandomUi),
             vec!["a.com", "c.com"]
         );
         assert_eq!(
-            b.domains_within(30, Interaction::Login),
+            domains_within(&b, 30, Interaction::Login),
             vec!["a.com", "c.com"]
         );
-    }
-
-    #[test]
-    fn duplicate_domains_deduped() {
-        let mut b = behavior();
-        b.connections
-            .push(PlannedConnection::simple("a.com", TlsLibrary::Conscrypt));
-        assert_eq!(b.domains_within(30, Interaction::None), vec!["a.com"]);
     }
 
     #[test]

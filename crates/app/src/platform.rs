@@ -15,14 +15,6 @@ impl Platform {
     /// Both platforms.
     pub const BOTH: [Platform; 2] = [Platform::Android, Platform::Ios];
 
-    /// Store name for display.
-    pub fn store_name(self) -> &'static str {
-        match self {
-            Platform::Android => "Google Play Store",
-            Platform::Ios => "Apple App Store",
-        }
-    }
-
     /// Short name.
     pub fn name(self) -> &'static str {
         match self {

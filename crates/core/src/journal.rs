@@ -280,6 +280,7 @@ impl<R: Record, M: Media> Journal<R, M> {
     }
 
     /// Mutable borrow of the backing medium (e.g. to crash it).
+    #[cfg(test)]
     pub fn media_mut(&mut self) -> &mut M {
         &mut self.media
     }

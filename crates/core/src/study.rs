@@ -539,14 +539,6 @@ impl StudyResults {
             .collect()
     }
 
-    /// Number of pinning apps in one dataset.
-    pub fn pinning_count(&self, kind: DatasetKind, platform: Platform) -> usize {
-        self.dataset_records(kind, platform)
-            .iter()
-            .filter(|r| r.pins())
-            .count()
-    }
-
     /// Apps whose dynamic measurement degraded, with the responsible
     /// error, in app-index order.
     pub fn degraded_apps(&self) -> Vec<(&AppRecord, MeasurementError)> {
@@ -617,8 +609,10 @@ mod tests {
         let r = results();
         let total: usize = DatasetKind::ALL
             .iter()
-            .flat_map(|k| Platform::BOTH.map(|p| r.pinning_count(*k, p)))
-            .sum();
+            .flat_map(|k| Platform::BOTH.map(|p| r.dataset_records(*k, p)))
+            .flatten()
+            .filter(|rec| rec.pins())
+            .count();
         assert!(
             total > 0,
             "a study that finds no pinning reproduces nothing"

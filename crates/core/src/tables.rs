@@ -514,7 +514,7 @@ impl StudyResults {
                 matched = true;
                 // Identify the matched certificate for dedup: the first
                 // chain cert whose CN appears statically — re-derive it the
-                // same way pin_level_for_destination does, via position.
+                // same way pin_level_with_cns does, via position.
                 let cert = if is_ca {
                     server.chain.certs().iter().find(|c| c.tbs.is_ca)
                 } else {

@@ -14,7 +14,7 @@
 //! coverage is therefore a structural property of the shard topology, not
 //! a single global coin.
 
-use crate::{CtLog, LogEntry};
+use crate::CtLog;
 use pinning_crypto::sig::KeyPair;
 use pinning_crypto::SplitMix64;
 use pinning_pki::pin::PinAlgorithm;
@@ -264,43 +264,6 @@ impl LogSet {
             .iter()
             .find_map(|s| s.log.search_by_fingerprint(fp))
     }
-
-    /// Union lookup by hostname (CN and SANs), deduplicated by fingerprint.
-    pub fn search_by_hostname(&self, name: &str) -> Vec<&Certificate> {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            for cert in shard.log.search_by_hostname(name) {
-                if seen.insert(cert.fingerprint_sha256()) {
-                    out.push(cert);
-                }
-            }
-        }
-        out
-    }
-
-    /// Union lookup by subject common name only, deduplicated by
-    /// fingerprint (prefer [`LogSet::search_by_hostname`]).
-    pub fn search_by_common_name(&self, cn: &str) -> Vec<&Certificate> {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            for cert in shard.log.search_by_common_name(cn) {
-                if seen.insert(cert.fingerprint_sha256()) {
-                    out.push(cert);
-                }
-            }
-        }
-        out
-    }
-
-    /// Iterates `(shard index, entry)` over every entry of every shard.
-    pub fn iter_entries(&self) -> impl Iterator<Item = (usize, &LogEntry)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .flat_map(|(si, s)| s.log.iter().map(move |e| (si, e)))
-    }
 }
 
 #[cfg(test)]
@@ -395,7 +358,6 @@ mod tests {
         assert_eq!(set.n_unique_certs(), 1);
         let hits = set.search_by_spki_digest(PinAlgorithm::Sha256, &cert.spki_sha256());
         assert_eq!(hits.len(), 1, "union query dedups by fingerprint");
-        assert_eq!(set.search_by_hostname("dup.com").len(), 1);
         assert!(set
             .search_by_fingerprint(&cert.fingerprint_sha256())
             .is_some());

@@ -46,7 +46,7 @@ pub use faults::{
     FaultConfig, FaultKind, FaultPlan, InputLayer, MalformedKind, MeasurementError, RunAbort,
 };
 pub use flow::{Capture, FaultEvent, FlowOrigin, FlowRecord};
-pub use network::{DuplicateHost, Network};
+pub use network::Network;
 pub use proxy::MitmProxy;
 pub use server::OriginServer;
 

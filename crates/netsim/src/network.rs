@@ -17,21 +17,6 @@ pub(crate) fn host_key(hostname: &str) -> Cow<'_, str> {
     }
 }
 
-/// A hostname that two servers both claimed at registration time.
-///
-/// First-writer-wins resolution is correct DNS behavior, but a silently
-/// shadowed server usually means a world-generation bug — this record
-/// makes the shadowing auditable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DuplicateHost {
-    /// The contested hostname (lowercased).
-    pub hostname: String,
-    /// Index of the server that kept the name.
-    pub kept_server: usize,
-    /// Index of the later server whose claim was ignored.
-    pub shadowed_server: usize,
-}
-
 /// The simulated internet: every reachable origin server, keyed by
 /// hostname, plus global revocation state.
 #[derive(Debug, Default)]
@@ -41,7 +26,6 @@ pub struct Network {
     /// reset by every mutable access to the server.
     screens: Vec<OnceLock<Result<(), ChainDefect>>>,
     by_host: HashMap<String, usize>,
-    duplicates: Vec<DuplicateHost>,
     /// Revoked certificate serials (checked by clients that enable
     /// revocation).
     pub crl: RevocationList,
@@ -54,34 +38,15 @@ impl Network {
     }
 
     /// Registers a server for all its hostnames. Later registrations do not
-    /// displace earlier ones (first writer wins, like first-come DNS);
-    /// every shadowed claim is recorded in [`Network::duplicate_hosts`].
+    /// displace earlier ones (first writer wins, like first-come DNS).
     pub fn register(&mut self, server: OriginServer) -> usize {
         let idx = self.servers.len();
         for host in &server.hostnames {
-            let key = host.to_ascii_lowercase();
-            match self.by_host.entry(key.clone()) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    self.duplicates.push(DuplicateHost {
-                        hostname: key,
-                        kept_server: *e.get(),
-                        shadowed_server: idx,
-                    });
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(idx);
-                }
-            }
+            self.by_host.entry(host.to_ascii_lowercase()).or_insert(idx);
         }
         self.servers.push(server);
         self.screens.push(OnceLock::new());
         idx
-    }
-
-    /// Hostnames claimed by more than one registration, in registration
-    /// order.
-    pub fn duplicate_hosts(&self) -> &[DuplicateHost] {
-        &self.duplicates
     }
 
     /// The server index `hostname` resolves to (case-insensitively).
@@ -224,24 +189,6 @@ mod tests {
         net.register(s1);
         net.register(s2);
         assert_eq!(net.resolve("x.com").unwrap().response_bytes, 111);
-        assert_eq!(
-            net.duplicate_hosts(),
-            &[DuplicateHost {
-                hostname: "x.com".into(),
-                kept_server: 0,
-                shadowed_server: 1
-            }]
-        );
-    }
-
-    #[test]
-    fn unique_registrations_report_no_duplicates() {
-        let mut rng = SplitMix64::new(5);
-        let mut u = PkiUniverse::generate(&UniverseConfig::tiny(), &mut rng);
-        let mut net = Network::new();
-        net.register(server(&mut u, &mut rng, "a.com"));
-        net.register(server(&mut u, &mut rng, "b.com"));
-        assert!(net.duplicate_hosts().is_empty());
     }
 
     #[test]

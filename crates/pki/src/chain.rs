@@ -58,24 +58,9 @@ impl CertificateChain {
         }
     }
 
-    /// Serializes every certificate to concatenated PEM blocks (the format
-    /// servers and apps bundle chains in).
-    pub fn to_pem_bundle(&self) -> String {
-        self.certs.iter().map(|c| c.to_pem()).collect()
-    }
-
-    /// Parses a PEM bundle back into a chain.
-    pub fn from_pem_bundle(text: &str) -> Result<Self, crate::error::DecodeError> {
-        let ders = crate::encode::pem_decode_all(text)?;
-        let certs = ders
-            .iter()
-            .map(|d| Certificate::from_der(d))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(CertificateChain::new(certs))
-    }
-
     /// Structural sanity check: adjacent issuer/subject names line up.
     /// (Signature checking is [`crate::validate::validate_chain`]'s job.)
+    #[cfg(test)]
     pub fn linkage_ok(&self) -> bool {
         self.certs
             .windows(2)
@@ -142,15 +127,6 @@ mod tests {
         let mut certs = chain.certs().to_vec();
         certs.swap(1, 2);
         assert!(!CertificateChain::new(certs).linkage_ok());
-    }
-
-    #[test]
-    fn pem_bundle_roundtrip() {
-        let chain = build_three_level();
-        let bundle = chain.to_pem_bundle();
-        assert_eq!(bundle.matches("BEGIN CERTIFICATE").count(), 3);
-        let parsed = CertificateChain::from_pem_bundle(&bundle).unwrap();
-        assert_eq!(parsed, chain);
     }
 
     #[test]

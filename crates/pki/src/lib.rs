@@ -22,8 +22,6 @@
 //!   "default PKI vs custom PKI" distinction of Table 6.
 //! * [`pin`] — SPKI pins (`sha256/<b64>`, `sha1/<b64>`), raw-certificate
 //!   pins, pin sets, and chain matching — the heart of the whole study.
-//! * [`hpkp`] — RFC 7469 web pinning, implemented so §2.1's app-pinning
-//!   vs HPKP contrast (TOFU weakness, no in-band pin change) is executable.
 //! * [`limits`] — hostile-input budgets ([`limits::Budget`]) enforced by
 //!   every decoder in the workspace, plus run-time chain screening
 //!   ([`limits::screen_chain`]) for pathological served chains.
@@ -41,7 +39,6 @@ pub mod cert;
 pub mod chain;
 pub mod encode;
 pub mod error;
-pub mod hpkp;
 pub mod limits;
 pub mod name;
 pub mod pin;

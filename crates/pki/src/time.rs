@@ -33,11 +33,6 @@ impl SimTime {
     pub fn secs(self) -> u64 {
         self.0
     }
-
-    /// Saturating difference in seconds.
-    pub fn since(self, earlier: SimTime) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
 }
 
 impl Add<u64> for SimTime {
@@ -85,11 +80,6 @@ impl Validity {
     pub fn contains(&self, now: SimTime) -> bool {
         self.not_before <= now && now <= self.not_after
     }
-
-    /// Window length in seconds.
-    pub fn duration_secs(&self) -> u64 {
-        self.not_after.since(self.not_before)
-    }
 }
 
 #[cfg(test)]
@@ -119,12 +109,6 @@ mod tests {
         assert!(v.contains(SimTime(150)));
         assert!(!v.contains(SimTime(99)));
         assert!(!v.contains(SimTime(151)));
-    }
-
-    #[test]
-    fn duration() {
-        let v = Validity::starting(SimTime(5), 95);
-        assert_eq!(v.duration_secs(), 95);
     }
 
     #[test]

@@ -44,11 +44,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         let ncols = self.headers.len();
@@ -137,7 +132,6 @@ mod tests {
     fn rows_padded_to_arity() {
         let mut t = TextTable::new("", &["a", "b", "c"]);
         t.row(&["x"]);
-        assert_eq!(t.n_rows(), 1);
         assert!(t.render().contains('x'));
     }
 

@@ -192,16 +192,6 @@ impl<F: Copy> BreakerSet<F> {
     pub fn trips(&self) -> u32 {
         self.endpoints.borrow().values().map(|e| e.trips).sum()
     }
-
-    /// Endpoints that tripped at least once, with their trip counts.
-    pub fn tripped_endpoints(&self) -> Vec<(String, u32)> {
-        self.endpoints
-            .borrow()
-            .iter()
-            .filter(|(_, e)| e.trips > 0)
-            .map(|(d, e)| (d.clone(), e.trips))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -291,7 +281,6 @@ mod tests {
         b.record_fault("cdn.example", Fault::Truncation);
         assert_eq!(b.state("cdn.example"), BreakerState::Open);
         assert_eq!(b.trips(), 3);
-        assert_eq!(b.tripped_endpoints(), vec![("cdn.example".to_string(), 3)]);
     }
 
     #[test]

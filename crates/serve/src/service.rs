@@ -148,11 +148,6 @@ impl<'a> PinService<'a> {
         s
     }
 
-    /// Whether the service is currently in brownout (cache-only) mode.
-    pub fn in_brownout(&self) -> bool {
-        self.brownout
-    }
-
     /// Executes queued work on any worker that can start no later than
     /// `now`, in FIFO order (workers tie-break by lowest index).
     fn dispatch_until(&mut self, now: u64, responses: &mut Vec<Response>) {

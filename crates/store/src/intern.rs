@@ -19,7 +19,6 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct CertInterner {
     by_fp: HashMap<[u8; 32], Arc<Certificate>>,
-    deduplicated: usize,
 }
 
 impl CertInterner {
@@ -34,15 +33,11 @@ impl CertInterner {
     /// all of them.
     pub fn intern(&mut self, cert: &Certificate) -> Arc<Certificate> {
         let fp = cert.fingerprint_sha256();
-        match self.by_fp.entry(fp) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.deduplicated += 1;
-                Arc::clone(e.get())
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                Arc::clone(e.insert(Arc::new(cert.clone())))
-            }
-        }
+        Arc::clone(
+            self.by_fp
+                .entry(fp)
+                .or_insert_with(|| Arc::new(cert.clone())),
+        )
     }
 
     /// Rewrites a chain's CA certificates (everything above the leaf) to
@@ -66,11 +61,6 @@ impl CertInterner {
     /// Whether nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.by_fp.is_empty()
-    }
-
-    /// How many intern calls were answered by an existing canonical copy.
-    pub fn deduplicated(&self) -> usize {
-        self.deduplicated
     }
 
     /// Precomputes every derived value of every canonical certificate, so
@@ -121,7 +111,6 @@ mod tests {
         let b = pool.intern(&c.certs()[1].clone());
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(pool.unique(), 1);
-        assert_eq!(pool.deduplicated(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The app-store ecosystem: world generation, store listings, crawler
-//! simulation, and dataset construction.
+//! The app-store ecosystem: world generation, store listings and dataset
+//! construction.
 //!
 //! This crate plays the role of §3 ("Datasets") plus the invisible hand
 //! behind it — the actual population of apps the stores contain. The
@@ -14,7 +14,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod crawler;
 pub mod datasets;
 pub mod intern;
 pub mod shard;

@@ -126,15 +126,6 @@ impl World {
             Platform::Ios => &self.ios_listing,
         }
     }
-
-    /// Ground truth: indices of apps that pin at run time on `platform`.
-    pub fn truth_runtime_pinners(&self, platform: Platform) -> Vec<usize> {
-        self.listing(platform)
-            .iter()
-            .copied()
-            .filter(|&i| self.apps[i].pins_at_runtime())
-            .collect()
-    }
 }
 
 /// Shared generation state passed through the sub-generators.
@@ -415,8 +406,16 @@ mod tests {
                 );
             }
         }
-        // CA reuse across chains is the whole point.
-        assert!(w.interner.deduplicated() > w.interner.unique());
+        // CA reuse across chains is the whole point: each CA slot is
+        // interned once, so the reuses (slots - unique) must outnumber the
+        // unique certificates.
+        let ca_slots: usize = w
+            .network
+            .servers()
+            .iter()
+            .map(|s| s.chain.len().saturating_sub(1))
+            .sum();
+        assert!(ca_slots - w.interner.unique() > w.interner.unique());
     }
 
     #[test]

@@ -238,7 +238,7 @@ fn build_catalog(gen: &mut Generator<'_>) -> Catalog {
 
     // §5.3.1's self-signed oddballs: first Android-pinning product and
     // first iOS-pinning product get a long-lived self-signed destination.
-    plant_self_signed_oddballs(gen, &mut products);
+    plant_self_signed_oddballs(&mut products);
 
     // --- 2. Register first-party servers ---
     for p in &products {
@@ -727,19 +727,6 @@ impl HostileKind {
         HostileKind::BadPemAsset,
         HostileKind::FakePemNsc,
     ];
-
-    /// Whether this flavour serves a pathological chain (as opposed to a
-    /// hostile package asset).
-    pub fn attacks_served_chain(self) -> bool {
-        matches!(
-            self,
-            HostileKind::DeepChain
-                | HostileKind::Cycle
-                | HostileKind::SelfIssuedLoop
-                | HostileKind::GiantSan
-                | HostileKind::AbsurdWildcard
-        )
-    }
 }
 
 /// Plants `config.adversarial_apps` hostile apps (outside the store
@@ -878,7 +865,7 @@ fn build_hostile_app(gen: &mut Generator<'_>, k: usize, kind: HostileKind) -> Mo
     }
 }
 
-fn plant_self_signed_oddballs(gen: &mut Generator<'_>, products: &mut [Product]) {
+fn plant_self_signed_oddballs(products: &mut [Product]) {
     let mut planted_android = false;
     let mut planted_ios = false;
     for p in products.iter_mut() {
@@ -909,7 +896,6 @@ fn plant_self_signed_oddballs(gen: &mut Generator<'_>, products: &mut [Product])
             break;
         }
     }
-    let _ = gen; // reserved for future use (kept for signature symmetry)
 }
 
 /// Samples where a first-party pin's material is stored.

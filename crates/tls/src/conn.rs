@@ -418,7 +418,10 @@ mod tests {
         let out = run(&f, &client, &f.chain);
         let session = out.result.unwrap();
         assert_eq!(session.version, TlsVersion::V1_3);
-        assert!(out.transcript.handshake_reached_encryption());
+        assert_eq!(
+            out.transcript.negotiated.map(|(v, _)| v),
+            Some(TlsVersion::V1_3)
+        );
         // First client encrypted record is the (disguised) Finished.
         let first = out.transcript.client_encrypted_appdata();
         assert_eq!(first[0].inner_type, ContentType::Handshake);

@@ -19,12 +19,6 @@ pub struct ClientHello<'a> {
 }
 
 impl ClientHello<'_> {
-    /// Whether any offered suite is on the bad-cipher list (Table 8's
-    /// per-connection predicate).
-    pub fn advertises_weak_cipher(&self) -> bool {
-        self.offered_ciphers.iter().any(|c| c.is_weak())
-    }
-
     /// Approximate wire size of the ClientHello payload in bytes.
     pub fn wire_len(&self) -> usize {
         let base = 180; // random, session id, extensions scaffolding
@@ -53,21 +47,6 @@ impl ServerHello {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn weak_advertisement() {
-        let hello = ClientHello {
-            sni: Some("api.example.com"),
-            offered_versions: &TlsVersion::MODERN,
-            offered_ciphers: CipherSuite::legacy_client_list(),
-        };
-        assert!(hello.advertises_weak_cipher());
-        let modern = ClientHello {
-            offered_ciphers: CipherSuite::modern_client_list(),
-            ..hello
-        };
-        assert!(!modern.advertises_weak_cipher());
-    }
 
     #[test]
     fn wire_len_grows_with_content() {

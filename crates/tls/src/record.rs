@@ -98,13 +98,6 @@ impl RecordEvent {
             plaintext_alert: None,
         }
     }
-
-    /// Whether the record *looks like* application data to a passive
-    /// observer (this is the only app-data signal the paper's pipeline may
-    /// use).
-    pub fn looks_like_application_data(&self) -> bool {
-        self.wire_type == ContentType::ApplicationData
-    }
 }
 
 /// TCP-level events interleaved with TLS records in a capture.
@@ -146,7 +139,6 @@ mod tests {
             24,
         );
         assert_eq!(r.wire_type, ContentType::Alert);
-        assert!(!r.looks_like_application_data());
     }
 
     #[test]
@@ -159,7 +151,6 @@ mod tests {
         );
         assert_eq!(r.wire_type, ContentType::ApplicationData);
         assert_eq!(r.inner_type, ContentType::Alert);
-        assert!(r.looks_like_application_data());
     }
 
     #[test]
@@ -170,7 +161,7 @@ mod tests {
             ContentType::Handshake,
             40,
         );
-        assert!(r.looks_like_application_data());
+        assert_eq!(r.wire_type, ContentType::ApplicationData);
     }
 
     #[test]

@@ -89,25 +89,6 @@ impl ConnectionTranscript {
             .collect()
     }
 
-    /// Whether the TCP connection was established at all.
-    pub fn tcp_established(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e, WireEvent::Tcp(TcpEvent::Established)))
-    }
-
-    /// Whether the TLS handshake completed (a ServerHello was answered and a
-    /// cipher negotiated, and no pre-Finished abort happened). Approximated
-    /// by `negotiated.is_some()` plus the presence of a client Finished —
-    /// for TLS 1.3 Finished is disguised, so we accept any client encrypted
-    /// record as evidence the client keyed up.
-    pub fn handshake_reached_encryption(&self) -> bool {
-        self.negotiated.is_some()
-            && self
-                .records()
-                .any(|r| r.direction == Direction::ClientToServer && r.encrypted)
-    }
-
     /// Total bytes in client→server application-data-looking records.
     pub fn client_appdata_bytes(&self) -> usize {
         self.client_encrypted_appdata()
@@ -210,7 +191,6 @@ mod tests {
     #[test]
     fn tcp_flags() {
         let mut t = base();
-        assert!(t.tcp_established());
         assert!(!t.client_rst());
         t.push_tcp(TcpEvent::Rst {
             from: Direction::ClientToServer,

@@ -23,13 +23,6 @@ pub enum VerifyDecision {
     RejectPin,
 }
 
-impl VerifyDecision {
-    /// Whether the decision accepts the connection.
-    pub fn is_accept(&self) -> bool {
-        matches!(self, VerifyDecision::Accept)
-    }
-}
-
 /// An app's certificate policy for one destination. The pin set is
 /// borrowed from the rule that declares it.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,11 +54,6 @@ impl<'a> CertPolicy<'a> {
             validation_options: ValidationOptions::default(),
             pins: Some(pins),
         }
-    }
-
-    /// Whether the policy pins.
-    pub fn is_pinning(&self) -> bool {
-        self.pins.is_some_and(|p| !p.is_empty())
     }
 
     /// Evaluates a presented chain.
@@ -163,16 +151,17 @@ mod tests {
     fn default_policy_accepts_valid_chain() {
         let w = world();
         let p = CertPolicy::system_default();
-        assert!(p
-            .evaluate(
+        assert_eq!(
+            p.evaluate(
                 &w.chain,
                 "bank.com",
                 w.now,
                 &w.store,
                 &RevocationList::empty(),
                 None,
-            )
-            .is_accept());
+            ),
+            VerifyDecision::Accept
+        );
     }
 
     #[test]
@@ -181,16 +170,17 @@ mod tests {
         // an unpinned app accepts the forged chain.
         let w = world();
         let p = CertPolicy::system_default();
-        assert!(p
-            .evaluate(
+        assert_eq!(
+            p.evaluate(
                 &w.mitm_chain,
                 "bank.com",
                 w.now,
                 &w.store,
                 &RevocationList::empty(),
                 None,
-            )
-            .is_accept());
+            ),
+            VerifyDecision::Accept
+        );
     }
 
     #[test]
@@ -211,16 +201,17 @@ mod tests {
             VerifyDecision::RejectPin
         );
         // ... while still accepting the genuine chain.
-        assert!(p
-            .evaluate(
+        assert_eq!(
+            p.evaluate(
                 &w.chain,
                 "bank.com",
                 w.now,
                 &w.store,
                 &RevocationList::empty(),
                 None,
-            )
-            .is_accept());
+            ),
+            VerifyDecision::Accept
+        );
     }
 
     #[test]
@@ -266,8 +257,21 @@ mod tests {
 
     #[test]
     fn empty_pinset_does_not_pin() {
+        // An empty pin set enforces nothing: the forged chain the installed
+        // proxy CA validates is accepted, as with no pins at all.
+        let w = world();
         let pins = PinSet::new();
         let p = CertPolicy::pinned(&pins);
-        assert!(!p.is_pinning());
+        assert_eq!(
+            p.evaluate(
+                &w.mitm_chain,
+                "bank.com",
+                w.now,
+                &w.store,
+                &RevocationList::empty(),
+                None,
+            ),
+            VerifyDecision::Accept
+        );
     }
 }

@@ -131,6 +131,26 @@ fn majority_of_pinned_certs_are_cas() {
 }
 
 #[test]
+fn pinned_destinations_serve_no_expired_certificates() {
+    // §5.3.4: no pinned destination serves a certificate outside its
+    // validity window, so no app accepts an expired chain because it pins.
+    let r = results();
+    let mut pinned = 0;
+    for rec in r.records.values() {
+        for dest in &rec.pinned_destinations {
+            let Some(server) = r.world.network.resolve(dest) else {
+                continue;
+            };
+            pinned += 1;
+            for cert in server.chain.certs() {
+                assert!(cert.tbs.validity.contains(r.world.now), "{dest}");
+            }
+        }
+    }
+    assert!(pinned > 0);
+}
+
+#[test]
 fn table6_shapes() {
     let r = results();
     for row in r.table6() {
