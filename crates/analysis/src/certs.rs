@@ -221,9 +221,7 @@ mod tests {
         let findings: Vec<_> = w
             .apps
             .iter()
-            .map(|a| {
-                crate::statics::analyze_package(&a.package, Some(w.config.ios_encryption_seed))
-            })
+            .map(|a| crate::statics::analyze_app(a, w.config.ios_encryption_seed))
             .collect();
         let refs: Vec<&_> = findings.iter().collect();
         let resolver = PinResolver::new(&w.ctlog);

@@ -7,7 +7,9 @@ pub mod nsc;
 mod reference;
 pub mod scanner;
 
+use pinning_app::app::MobileApp;
 use pinning_app::package::AppPackage;
+use pinning_app::platform::Platform;
 use pinning_pki::cache::CacheCounter;
 use pinning_pki::Certificate;
 
@@ -85,6 +87,16 @@ pub fn analyze_package(package: &AppPackage, decryption_key: Option<u64>) -> Sta
     }
     nsc::scan_nsc(package, decryption_key, &mut findings);
     findings
+}
+
+/// Runs the static pipeline on an app's package as the study does: iOS
+/// packages ship encrypted and are scanned with `ios_key`, Android
+/// packages are scanned as they are.
+pub fn analyze_app(app: &MobileApp, ios_key: u64) -> StaticFindings {
+    analyze_package(
+        &app.package,
+        (app.id.platform == Platform::Ios).then_some(ios_key),
+    )
 }
 
 /// Inert: the static-scan memo is gone; this counter stays at zero.

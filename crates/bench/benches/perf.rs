@@ -130,30 +130,33 @@ fn micro_benches(smoke: bool) -> Vec<(String, AbPair)> {
     // paths are O(log n) per proof since the tree stores its completed
     // subtrees, so the ratio is small; it shows what the authenticator
     // still saves a monitor or resolver proving many entries of one
-    // state. Nothing gates on it.
-    let n: u64 = if smoke { 64 } else { 256 };
-    let mut tree = MerkleTree::new();
-    for i in 0..n {
-        tree.push(format!("entry-{i}").as_bytes());
+    // state. The trees are not powers of two, as real logs are not: on a
+    // perfect tree the walk hashes no right-edge node, so neither path
+    // would do its real work. Nothing gates on it.
+    for n in [100u64, 1_000] {
+        let mut tree = MerkleTree::new();
+        for i in 0..n {
+            tree.push(format!("entry-{i}").as_bytes());
+        }
+        out.push((
+            format!("merkle-proof-batch-{n}"),
+            AbPair::measure(
+                &format!("merkle_proof_batch_{n}"),
+                iters.min(10),
+                || {
+                    let auth = tree.authenticator(n).expect("size in range");
+                    for i in 0..n {
+                        black_box(auth.inclusion_proof(i));
+                    }
+                },
+                || {
+                    for i in 0..n {
+                        black_box(tree.inclusion_proof(i, n));
+                    }
+                },
+            ),
+        ));
     }
-    out.push((
-        "merkle-proof-batch".to_string(),
-        AbPair::measure(
-            "merkle_proof_batch",
-            iters.min(10),
-            || {
-                let auth = tree.authenticator(n).expect("size in range");
-                for i in 0..n {
-                    black_box(auth.inclusion_proof(i));
-                }
-            },
-            || {
-                for i in 0..n {
-                    black_box(tree.inclusion_proof(i, n));
-                }
-            },
-        ),
-    ));
     out
 }
 

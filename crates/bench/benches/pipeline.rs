@@ -1,7 +1,7 @@
 //! Pipeline micro-benchmarks: the hot paths of the methodology.
 
 use pinning_analysis::dynamics::pipeline::{analyze_app, DynamicEnv};
-use pinning_analysis::statics::{analyze_package, scanner};
+use pinning_analysis::statics::{self, analyze_package, scanner};
 use pinning_app::platform::Platform;
 use pinning_bench::{bench_world_config, shared_world, time_bench, time_bench_stats};
 use pinning_crypto::sha256;
@@ -90,10 +90,10 @@ fn main() {
     // --- static scan of every app of a world, per app ---
     let bench_world = World::generate(bench_world_config(101));
     for (label, w) in [("shared", world), ("bench_101", &bench_world)] {
-        let key = Some(w.config.ios_encryption_seed);
+        let key = w.config.ios_encryption_seed;
         let stats = time_bench_stats(&format!("static_scan_every_app_{label}"), ITERS, || {
             for app in &w.apps {
-                black_box(analyze_package(&app.package, key));
+                black_box(statics::analyze_app(app, key));
             }
         });
         println!(

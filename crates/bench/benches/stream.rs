@@ -218,8 +218,8 @@ fn main() {
     }
     println!(
         "headline: {} apps in {:.1}s ({:.0} apps/sec), peak RSS {} KiB (before: {} KiB)",
-        big.health.apps_measured,
-        big.health.elapsed_secs,
+        big.health.fresh_apps,
+        big.stream.elapsed_secs,
         apps_per_sec,
         peak.map_or_else(|| "?".into(), |k| k.to_string()),
         rss_before.map_or_else(|| "?".into(), |k| k.to_string()),
@@ -251,10 +251,10 @@ fn main() {
         resume = resume_identical,
         scrub = scrub_overhead_pct,
         scrub_ok = scrub_within_bound,
-        apps = big.health.apps_measured,
-        shards = big.health.shards_total,
+        apps = big.health.fresh_apps,
+        shards = big.stream.shards_total,
         threads = pinning_bench::bench_threads(),
-        elapsed = big.health.elapsed_secs,
+        elapsed = big.stream.elapsed_secs,
         aps = apps_per_sec,
         peak = peak.map_or_else(|| "null".into(), |k| k.to_string()),
         ceiling = ceiling_kib,

@@ -8,7 +8,7 @@ use pinning_analysis::dynamics::detect::{detect_pinned_destinations, Exclusions}
 use pinning_analysis::dynamics::pipeline::{
     analyze_app, associated_domains_from_package, DynamicEnv,
 };
-use pinning_analysis::statics::analyze_package;
+use pinning_analysis::statics;
 use pinning_app::platform::Platform;
 use pinning_netsim::flow::Capture;
 use pinning_store::world::World;
@@ -192,10 +192,7 @@ pub fn static_breadth(world: &World) -> Vec<(Platform, usize, usize, usize)> {
         let mut full = 0;
         let mut dynamic = 0;
         for app in world.apps.iter().filter(|a| a.id.platform == platform) {
-            let findings = analyze_package(
-                &app.package,
-                (platform == Platform::Ios).then_some(world.config.ios_encryption_seed),
-            );
+            let findings = statics::analyze_app(app, world.config.ios_encryption_seed);
             if findings.nsc_signal() {
                 nsc_only += 1;
             }

@@ -4,14 +4,16 @@
 //! that is gigabytes. [`AppRecord`] keeps exactly the observables the
 //! tables and figures consume, so a full study fits comfortably in memory.
 
-use crate::journal::MeasuredApp;
-use pinning_analysis::circumvent::CircumventionResult;
-use pinning_analysis::dynamics::pipeline::AppDynamicResult;
+use crate::journal::{AppOutcome, JournalEntry, MeasuredApp};
+use pinning_analysis::circumvent::{circumvent_app, CircumventionResult};
+use pinning_analysis::dynamics::pipeline::{try_analyze_app, AppDynamicResult, DynamicEnv};
 use pinning_analysis::security::{any_weak_offer, any_weak_pinned_offer};
 use pinning_analysis::statics::StaticFindings;
+use pinning_app::app::MobileApp;
 use pinning_app::platform::AppId;
 use pinning_netsim::faults::MeasurementError;
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Summary of §4.3 circumvention for one app.
 #[derive(Debug, Clone, Default)]
@@ -153,6 +155,32 @@ impl AppRecord {
         }
     }
 
+    /// The journal entry this record commits: its dynamic observables, or
+    /// the error that degraded it.
+    pub fn to_entry(&self) -> JournalEntry {
+        JournalEntry {
+            app_index: self.app_index as u64,
+            outcome: match self.error {
+                Some(error) => AppOutcome::Failed(error),
+                None => AppOutcome::Measured(Box::new(self.to_measured())),
+            },
+        }
+    }
+
+    /// Rebuilds the record a journal entry committed for `app`, with the
+    /// app's static findings. Inverse of [`AppRecord::to_entry`].
+    pub fn replay(entry: &JournalEntry, app: &MobileApp, static_findings: StaticFindings) -> Self {
+        let app_index = entry.app_index as usize;
+        match &entry.outcome {
+            AppOutcome::Measured(m) => {
+                AppRecord::from_measured(app_index, app.id.clone(), static_findings, m)
+            }
+            AppOutcome::Failed(error) => {
+                AppRecord::failed(app_index, app.id.clone(), static_findings, *error)
+            }
+        }
+    }
+
     /// The journal image of this record's dynamic observables. Everything
     /// else ([`AppRecord::id`], [`AppRecord::static_findings`]) is
     /// recomputed from the regenerated world on replay.
@@ -214,4 +242,48 @@ impl AppRecord {
     pub fn degraded(&self) -> bool {
         self.error.is_some()
     }
+}
+
+/// Measures one app (§4.2–4.3): the baseline and MITM runs, then
+/// circumvention of every destination found pinned, kept as a compact
+/// record with `static_findings`. An app whose runs keep degrading past
+/// the retry budget becomes an [`AppRecord::failed`] record.
+pub(crate) fn measure_app(
+    env: &DynamicEnv<'_>,
+    app_index: usize,
+    app: &MobileApp,
+    static_findings: StaticFindings,
+) -> AppRecord {
+    match try_analyze_app(env, app) {
+        Ok(dynamic) => {
+            let pinned = dynamic.pinned_destinations();
+            let circ = (!pinned.is_empty()).then(|| circumvent_app(env, app, &pinned));
+            AppRecord::assemble(
+                app_index,
+                app.id.clone(),
+                static_findings,
+                &dynamic,
+                circ.as_ref(),
+            )
+        }
+        Err(error) => AppRecord::failed(app_index, app.id.clone(), static_findings, error),
+    }
+}
+
+/// Runs `measure` under panic isolation: a measurement that panics
+/// degrades this one app to a [`MeasurementError::WorkerPanic`] record
+/// (no static findings) instead of unwinding through the run.
+pub(crate) fn isolated(
+    app_index: usize,
+    app: &MobileApp,
+    measure: impl FnOnce() -> AppRecord,
+) -> AppRecord {
+    catch_unwind(AssertUnwindSafe(measure)).unwrap_or_else(|_| {
+        AppRecord::failed(
+            app_index,
+            app.id.clone(),
+            StaticFindings::default(),
+            MeasurementError::WorkerPanic,
+        )
+    })
 }

@@ -26,24 +26,20 @@
 
 use crate::accum::StreamAccum;
 use crate::journal::{Journal, JournalError, Record};
-use crate::record::AppRecord;
+use crate::record::{isolated, measure_app};
+use crate::study::{table_run_health, RunHealth};
 use crate::supervise::Pool;
-use pinning_analysis::circumvent::circumvent_app;
-use pinning_analysis::dynamics::pipeline::{try_analyze_app, DynamicEnv};
-use pinning_analysis::statics::analyze_package;
+use pinning_analysis::dynamics::pipeline::DynamicEnv;
+use pinning_analysis::statics::analyze_app;
 use pinning_app::platform::Platform;
 use pinning_crypto::Sha256;
-use pinning_netsim::faults::MeasurementError;
 use pinning_pki::encode::{Reader, Writer};
 use pinning_pki::validate::ValidationMemo;
-use pinning_report::tables::{table_run_health, RunHealthReport};
 use pinning_resilience::media::{Media, MediaError, VecMedia};
 use pinning_resilience::recovery::ScrubStats;
 use pinning_store::config::WorldConfig;
 use pinning_store::shard::StreamWorld;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -146,8 +142,9 @@ impl<M: Media> StreamJournal<M> {
     }
 }
 
-/// Volatile run telemetry — everything here may differ between two runs
-/// that render byte-identical reports.
+/// Shard accounting and wall time of one streaming run — volatile, like
+/// the [`RunHealth`] beside it: two runs that render byte-identical
+/// reports may differ here.
 #[derive(Debug, Clone, Default)]
 pub struct StreamHealth {
     /// Shards in the whole study.
@@ -156,19 +153,8 @@ pub struct StreamHealth {
     pub shards_resumed: usize,
     /// Shards measured by this process.
     pub shards_fresh: usize,
-    /// Apps measured by this process (resumed shards excluded).
-    pub apps_measured: u64,
-    /// Worker panics converted into degraded records.
-    pub panics_recovered: u64,
     /// Wall-clock seconds of the measuring phase.
     pub elapsed_secs: f64,
-    /// Peak resident-set size (VmHWM), KiB; `None` off Linux.
-    pub peak_rss_kib: Option<u64>,
-    /// Fresh apps per wall-clock second.
-    pub apps_per_sec: Option<f64>,
-    /// Journal scrub accounting from the resume that seeded this run
-    /// (all zero for a fresh run or a clean journal).
-    pub recovery: ScrubStats,
 }
 
 /// A finished streaming study.
@@ -176,8 +162,11 @@ pub struct StreamHealth {
 pub struct StreamResults {
     /// The merged accumulator — sole input of the deterministic report.
     pub accum: StreamAccum,
-    /// Volatile telemetry for this particular run.
-    pub health: StreamHealth,
+    /// This run's shard accounting and wall time.
+    pub stream: StreamHealth,
+    /// This run's health: panics, resumed vs fresh apps, journal repair
+    /// accounting, peak RSS and throughput.
+    pub health: RunHealth,
 }
 
 impl StreamResults {
@@ -190,19 +179,7 @@ impl StreamResults {
     /// The volatile run-health table (timings, RSS, resume counters,
     /// journal repair accounting).
     pub fn render_health(&self) -> String {
-        table_run_health(&RunHealthReport {
-            panics_recovered: self.health.panics_recovered.min(u32::MAX as u64) as u32,
-            journal_truncations: u32::from(!self.health.recovery.is_clean()),
-            quarantined_bytes: self.health.recovery.quarantined_bytes,
-            quarantined_records: self.health.recovery.quarantined_records,
-            journal_repairs: self.health.recovery.repairs,
-            checkpoints_recovered: self.health.recovery.checkpoints_recovered,
-            resumed_apps: (self.accum.apps - self.health.apps_measured) as usize,
-            fresh_apps: self.health.apps_measured as usize,
-            peak_rss_kib: self.health.peak_rss_kib,
-            apps_per_sec: self.health.apps_per_sec,
-            ..Default::default()
-        })
+        table_run_health(&self.health)
     }
 }
 
@@ -322,13 +299,11 @@ impl StreamEngine {
             .collect();
         let decrypt_key = self.config.world.ios_encryption_seed;
         let seed = self.config.world.seed;
-        let apps_measured = AtomicU64::new(0);
-        let panics = AtomicU64::new(0);
-        // This process's shards, folded as they are measured. A run that
-        // does not complete discards the fold, so folding before the
-        // commit is sound; merge() is associative and commutative, so the
-        // fold order cannot affect the rendered bytes.
-        let fresh = Mutex::new(StreamAccum::default());
+        // This process's shards and their health, folded as they are
+        // measured. A run that does not complete discards the fold, so
+        // folding before the commit is sound; merge() is associative and
+        // commutative, so the fold order cannot affect the rendered bytes.
+        let fresh = Mutex::new((StreamAccum::default(), RunHealth::default()));
 
         // Materialize, measure, drop: the shard, its env and its validation
         // memo die when this returns, so the in-flight bound is what bounds
@@ -350,28 +325,26 @@ impl StreamEngine {
                 shards: 1,
                 ..Default::default()
             };
+            let mut health = RunHealth {
+                fresh_apps: shard.apps.len(),
+                ..RunHealth::default()
+            };
             for sa in &shard.apps {
-                let record = catch_unwind(AssertUnwindSafe(|| {
-                    measure_one(&env, sa.product_index, &sa.app, decrypt_key)
-                }))
-                .unwrap_or_else(|_| {
-                    panics.fetch_add(1, Ordering::Relaxed);
-                    AppRecord::failed(
-                        sa.product_index,
-                        sa.app.id.clone(),
-                        Default::default(),
-                        MeasurementError::WorkerPanic,
-                    )
+                let (i, app) = (sa.product_index, &sa.app);
+                let record = isolated(i, app, || {
+                    measure_app(&env, i, app, analyze_app(app, decrypt_key))
                 });
+                health.count(&record);
                 acc.add_app(
                     &sa.datasets,
-                    sa.app.category.label_on(sa.app.id.platform),
+                    app.category.label_on(app.id.platform),
                     &record,
                     &identity,
                 );
             }
-            apps_measured.fetch_add(shard.apps.len() as u64, Ordering::Relaxed);
-            fresh.lock().expect("fold lock").merge(&acc);
+            let mut fold = fresh.lock().expect("fold lock");
+            fold.0.merge(&acc);
+            fold.1.absorb(&health);
             acc
         };
 
@@ -394,54 +367,26 @@ impl StreamEngine {
             });
         }
 
-        let mut accum = fresh.into_inner().expect("fold lock");
+        let (mut accum, mut health) = fresh.into_inner().expect("fold lock");
         for acc in done.values() {
             accum.merge(acc);
+            health.resumed_apps += acc.apps as usize;
         }
 
         let elapsed = start.elapsed().as_secs_f64();
-        let apps = apps_measured.into_inner();
+        health.recovery = recovery;
+        health.peak_rss_kib = peak_rss_kib();
+        health.apps_per_sec = (elapsed > 0.0).then(|| health.fresh_apps as f64 / elapsed);
         Ok(StreamOutcome::Completed(Box::new(StreamResults {
             accum,
-            health: StreamHealth {
+            stream: StreamHealth {
                 shards_total: n_shards,
                 shards_resumed: done.len(),
                 shards_fresh: run.fresh,
-                apps_measured: apps,
-                panics_recovered: panics.into_inner(),
                 elapsed_secs: elapsed,
-                peak_rss_kib: peak_rss_kib(),
-                apps_per_sec: (elapsed > 0.0).then(|| apps as f64 / elapsed),
-                recovery,
             },
+            health,
         })))
-    }
-}
-
-/// Measures one streamed app to a record.
-fn measure_one(
-    env: &DynamicEnv<'_>,
-    product_index: usize,
-    app: &pinning_app::app::MobileApp,
-    decrypt_key: u64,
-) -> AppRecord {
-    let static_findings = analyze_package(
-        &app.package,
-        (app.id.platform == Platform::Ios).then_some(decrypt_key),
-    );
-    match try_analyze_app(env, app) {
-        Ok(dynamic) => {
-            let pinned = dynamic.pinned_destinations();
-            let circ = (!pinned.is_empty()).then(|| circumvent_app(env, app, &pinned));
-            AppRecord::assemble(
-                product_index,
-                app.id.clone(),
-                static_findings,
-                &dynamic,
-                circ.as_ref(),
-            )
-        }
-        Err(error) => AppRecord::failed(product_index, app.id.clone(), static_findings, error),
     }
 }
 
@@ -511,7 +456,7 @@ mod tests {
                 .resume(journal.as_bytes())
                 .expect("journal resumes"),
         );
-        assert!(resumed.health.shards_resumed >= 1);
+        assert!(resumed.stream.shards_resumed >= 1);
         assert_eq!(resumed.render_report(), clean.render_report());
     }
 
@@ -606,7 +551,7 @@ mod tests {
     #[test]
     fn health_reports_throughput_and_rss() {
         let results = completed(StreamEngine::new(config(13, 2)).run());
-        assert!(results.health.apps_measured > 0);
+        assert!(results.health.fresh_apps > 0);
         assert!(results.health.apps_per_sec.unwrap_or(0.0) > 0.0);
         let health = results.render_health();
         assert!(health.contains("throughput (apps/sec)"));

@@ -11,12 +11,11 @@
 //! replay path, their results are identical byte for byte. At one thread
 //! apps are measured in ascending index order.
 
-use crate::journal::{AppOutcome, JournalEntry, JournalError, ResultJournal};
-use crate::record::AppRecord;
+use crate::journal::{JournalError, ResultJournal};
+use crate::record::{isolated, measure_app, AppRecord};
 use crate::supervise::Pool;
-use pinning_analysis::circumvent::circumvent_app;
-use pinning_analysis::dynamics::pipeline::{try_analyze_app, DynamicEnv, RetryPolicy};
-use pinning_analysis::statics::{analyze_package, StaticFindings};
+use pinning_analysis::dynamics::pipeline::{DynamicEnv, RetryPolicy};
+use pinning_analysis::statics::{analyze_app, StaticFindings};
 use pinning_app::pii::DeviceIdentity;
 use pinning_app::platform::Platform;
 use pinning_crypto::sha256;
@@ -24,13 +23,14 @@ use pinning_netsim::breaker::BreakerConfig;
 use pinning_netsim::faults::{FaultConfig, MeasurementError};
 use pinning_pki::cache::CacheStat;
 use pinning_pki::validate::ValidationMemo;
+use pinning_report::text::{Align, TextTable};
+use pinning_resilience::ScrubStats;
 use pinning_store::config::WorldConfig;
 use pinning_store::datasets::{
     build_datasets, collision_report, CollisionReport, Dataset, DatasetKind,
 };
 use pinning_store::world::World;
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -133,10 +133,12 @@ impl StudyConfig {
     }
 }
 
-/// Run-health telemetry: what the supervision layer absorbed so the study
-/// could finish. Rendered by `tables::render_run_health`, deliberately
-/// *outside* the deterministic report tables.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Run-health telemetry: what the supervision layer absorbed so a run
+/// could finish. Every engine keeps one ([`StudyResults::health`],
+/// [`crate::StreamResults::health`], the epoch engine's running total)
+/// and renders it with [`table_run_health`], deliberately *outside* the
+/// deterministic report tables.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunHealth {
     /// Worker panics converted into degraded records.
     pub panics_recovered: u32,
@@ -144,17 +146,10 @@ pub struct RunHealth {
     pub breaker_trips: u32,
     /// Apps whose wall-clock measurement exceeded the watchdog deadline.
     pub watchdog_breaches: u32,
-    /// Journals that lost records to corruption during this run's resume.
-    pub journal_truncations: u32,
-    /// Bytes quarantined by the journal scrubber (damaged spans, torn
-    /// tails, dropped duplicates).
-    pub quarantined_bytes: u64,
-    /// Whole records destroyed by mid-journal damage.
-    pub quarantined_records: u32,
-    /// Self-heals: resyncs past damage plus dropped duplicate segments.
-    pub journal_repairs: u32,
-    /// Checkpoint loads that fell back past a damaged slot.
-    pub checkpoints_recovered: u32,
+    /// What the journal scrubber quarantined and repaired when this run
+    /// resumed, plus checkpoint loads that fell back past a damaged slot
+    /// (all zero when everything read back as written).
+    pub recovery: ScrubStats,
     /// Apps recovered from the journal instead of re-measured.
     pub resumed_apps: usize,
     /// Apps measured by this process.
@@ -168,17 +163,96 @@ pub struct RunHealth {
     /// This run's chain-validation traffic through its memo (`None` when
     /// the run had no memo).
     pub validation_memo: Option<CacheStat>,
+    /// Peak resident-set size of the process, KiB (`None` for runs that
+    /// do not read it, or where the platform exposes no high-water mark).
+    pub peak_rss_kib: Option<u64>,
+    /// Fresh apps per second of wall-clock measuring time (`None` for
+    /// runs that do not time themselves).
+    pub apps_per_sec: Option<f64>,
 }
 
 impl RunHealth {
-    /// Folds one journal scrub's quarantine/repair accounting into the
-    /// run-health counters.
-    pub fn absorb_scrub(&mut self, stats: pinning_resilience::ScrubStats) {
-        self.quarantined_bytes += stats.quarantined_bytes;
-        self.quarantined_records += stats.quarantined_records;
-        self.journal_repairs += stats.repairs;
-        self.checkpoints_recovered += stats.checkpoints_recovered;
+    /// Counts what one measured or replayed record cost the supervision
+    /// layer: its breaker trips, and the panic that degraded it, if any.
+    pub(crate) fn count(&mut self, record: &AppRecord) {
+        self.breaker_trips += record.breaker_trips;
+        if record.error == Some(MeasurementError::WorkerPanic) {
+            self.panics_recovered += 1;
+        }
     }
+
+    /// Adds another run's counters into this one. The memo traffic, peak
+    /// RSS and throughput describe a single run and are left as they are.
+    pub fn absorb(&mut self, other: &RunHealth) {
+        self.panics_recovered += other.panics_recovered;
+        self.breaker_trips += other.breaker_trips;
+        self.watchdog_breaches += other.watchdog_breaches;
+        self.recovery.absorb(other.recovery);
+        self.resumed_apps += other.resumed_apps;
+        self.fresh_apps += other.fresh_apps;
+        self.replayed_prior_epoch += other.replayed_prior_epoch;
+        self.reanalyzed_dirty += other.reanalyzed_dirty;
+    }
+}
+
+/// Renders the "Run health" table: what the supervision layer absorbed so
+/// the run could finish. "journal truncations" reads 1 when any journal
+/// or checkpoint read back damaged, and untimed runs show a dash for
+/// peak RSS and throughput.
+pub fn table_run_health(h: &RunHealth) -> String {
+    let dash = || "—".to_string();
+    let mut t = TextTable::new(
+        "Run health (supervision & journal telemetry)",
+        &["Event", "Count"],
+    )
+    .aligns(&[Align::Left, Align::Right]);
+    t.row(&["worker panics recovered", &h.panics_recovered.to_string()]);
+    t.row(&["circuit-breaker trips", &h.breaker_trips.to_string()]);
+    t.row(&["watchdog breaches", &h.watchdog_breaches.to_string()]);
+    t.row(&[
+        "journal truncations",
+        &u32::from(!h.recovery.is_clean()).to_string(),
+    ]);
+    t.row(&[
+        "quarantined bytes",
+        &h.recovery.quarantined_bytes.to_string(),
+    ]);
+    t.row(&[
+        "quarantined records",
+        &h.recovery.quarantined_records.to_string(),
+    ]);
+    t.row(&["journal repairs", &h.recovery.repairs.to_string()]);
+    t.row(&[
+        "checkpoints recovered",
+        &h.recovery.checkpoints_recovered.to_string(),
+    ]);
+    t.row(&["apps resumed from journal", &h.resumed_apps.to_string()]);
+    t.row(&["apps measured fresh", &h.fresh_apps.to_string()]);
+    t.row(&[
+        "apps replayed from prior epoch",
+        &h.replayed_prior_epoch.to_string(),
+    ]);
+    t.row(&["apps reanalyzed (dirty)", &h.reanalyzed_dirty.to_string()]);
+    t.row(&[
+        "peak RSS (KiB)",
+        &h.peak_rss_kib.map_or_else(dash, |k| k.to_string()),
+    ]);
+    t.row(&[
+        "throughput (apps/sec)",
+        &h.apps_per_sec.map_or_else(dash, |v| format!("{v:.1}")),
+    ]);
+    if let Some(c) = &h.validation_memo {
+        let rate = if c.total() == 0 {
+            0.0
+        } else {
+            100.0 * c.hits as f64 / c.total() as f64
+        };
+        t.row(&[
+            &format!("cache {} (hit/miss)", c.name),
+            &format!("{}/{} ({rate:.1}%)", c.hits, c.misses),
+        ]);
+    }
+    t.render()
 }
 
 /// How a journaled run ended.
@@ -284,8 +358,8 @@ impl Study {
 
     /// [`Study::run_on_world`], handed the static findings of some apps
     /// so only the others are scanned. The caller vouches that each
-    /// handed finding is what [`analyze_package`] returns for that app's
-    /// package in `world` — the epoch engine hands over a clean app's
+    /// handed finding is what [`analyze_app`] returns for that app in
+    /// `world` — the epoch engine hands over a clean app's
     /// prior findings, whose fingerprint covers the package content.
     pub fn run_on_world_with_statics(
         self,
@@ -373,39 +447,19 @@ impl Study {
         let identity = env.device(Platform::Android).identity.clone();
         let decrypt_key = self.config.world.ios_encryption_seed;
 
-        // One app, measured to a journal-ready outcome. Static findings
-        // are *not* measured here — they are handed in or recomputed
-        // deterministically at materialization, so the journal stays small.
-        let measure = |app_index: usize| -> AppOutcome {
+        // One app, measured under panic isolation to its journal entry.
+        // Static findings are *not* measured here — they are handed in or
+        // recomputed deterministically at materialization, so the journal
+        // stays small.
+        let measure = |app_index: usize| {
             let app = &world.apps[app_index];
-            if self.config.supervisor.inject_panic_app == Some(app_index) {
-                panic!("injected worker panic (supervisor test hook)");
-            }
-            match try_analyze_app(&env, app) {
-                Ok(dynamic) => {
-                    let pinned = dynamic.pinned_destinations();
-                    let circ = (!pinned.is_empty()).then(|| circumvent_app(&env, app, &pinned));
-                    // Assemble once to reuse the record's extraction logic,
-                    // then keep only the journalable observables.
-                    let record = AppRecord::assemble(
-                        app_index,
-                        app.id.clone(),
-                        Default::default(),
-                        &dynamic,
-                        circ.as_ref(),
-                    );
-                    AppOutcome::Measured(Box::new(record.to_measured()))
+            isolated(app_index, app, || {
+                if self.config.supervisor.inject_panic_app == Some(app_index) {
+                    panic!("injected worker panic (supervisor test hook)");
                 }
-                Err(error) => AppOutcome::Failed(error),
-            }
-        };
-
-        // Panic isolation: a crashing pipeline degrades this one app
-        // instead of poisoning the whole run.
-        let measure_isolated = |app_index: usize| JournalEntry {
-            app_index: app_index as u64,
-            outcome: catch_unwind(AssertUnwindSafe(|| measure(app_index)))
-                .unwrap_or(AppOutcome::Failed(MeasurementError::WorkerPanic)),
+                measure_app(&env, app_index, app, StaticFindings::default())
+            })
+            .to_entry()
         };
         let pool = Pool {
             threads: self.config.threads,
@@ -416,7 +470,7 @@ impl Study {
         let run = pool.run(
             &pending,
             journal,
-            measure_isolated,
+            measure,
             |journal: &mut ResultJournal, _, entry| journal.try_append(&entry),
         )?;
         health.watchdog_breaches = run.watchdog_breaches;
@@ -436,30 +490,19 @@ impl Study {
         // resume produce identical results. The handed-in records were
         // scrubbed and decoded above; only this run's commits are read
         // back.
-        let mut entries = handed.entries;
-        entries.extend(journal.entries_since(handed_len));
         let mut records: BTreeMap<usize, AppRecord> = BTreeMap::new();
-        for entry in &entries {
+        for entry in handed
+            .entries
+            .iter()
+            .chain(&journal.entries_since(handed_len))
+        {
             let app_index = entry.app_index as usize;
             let app = &world.apps[app_index];
-            let static_findings = statics.remove(&app_index).unwrap_or_else(|| {
-                analyze_package(
-                    &app.package,
-                    (app.id.platform == Platform::Ios).then_some(decrypt_key),
-                )
-            });
-            let record = match &entry.outcome {
-                AppOutcome::Measured(m) => {
-                    health.breaker_trips += m.breaker_trips;
-                    AppRecord::from_measured(app_index, app.id.clone(), static_findings, m)
-                }
-                AppOutcome::Failed(error) => {
-                    if *error == MeasurementError::WorkerPanic {
-                        health.panics_recovered += 1;
-                    }
-                    AppRecord::failed(app_index, app.id.clone(), static_findings, *error)
-                }
-            };
+            let static_findings = statics
+                .remove(&app_index)
+                .unwrap_or_else(|| analyze_app(app, decrypt_key));
+            let record = AppRecord::replay(entry, app, static_findings);
+            health.count(&record);
             records.insert(app_index, record);
         }
 
@@ -483,15 +526,14 @@ fn reopen(
     fingerprint: [u8; 32],
 ) -> Result<(ResultJournal, RunHealth), JournalError> {
     let replay = ResultJournal::open_expecting(journal_bytes, fingerprint)?;
-    let mut health = RunHealth::default();
-    if replay.truncated() {
-        health.journal_truncations = 1;
-        health.absorb_scrub(replay.stats);
-    }
     let mut journal = ResultJournal::create(fingerprint);
     for entry in &replay.entries {
         journal.append(entry);
     }
+    let health = RunHealth {
+        recovery: replay.stats,
+        ..RunHealth::default()
+    };
     Ok((journal, health))
 }
 
@@ -574,6 +616,100 @@ mod tests {
                 panic!("expected completion, interrupted after {apps_committed}")
             }
         }
+    }
+
+    #[test]
+    fn run_health_renders_every_counter() {
+        let s = table_run_health(&RunHealth {
+            panics_recovered: 1,
+            breaker_trips: 7,
+            watchdog_breaches: 0,
+            recovery: ScrubStats {
+                quarantined_bytes: 58,
+                quarantined_records: 2,
+                repairs: 3,
+                checkpoints_recovered: 1,
+            },
+            resumed_apps: 4,
+            fresh_apps: 46,
+            replayed_prior_epoch: 39,
+            reanalyzed_dirty: 11,
+            validation_memo: Some(CacheStat {
+                name: "chain-validation".into(),
+                hits: 900,
+                misses: 100,
+            }),
+            peak_rss_kib: Some(123_456),
+            apps_per_sec: Some(87.5),
+        });
+        for row in [
+            "worker panics recovered      1",
+            "circuit-breaker trips        7",
+            "journal truncations          1",
+            "quarantined bytes           58",
+            "quarantined records          2",
+            "journal repairs              3",
+            "checkpoints recovered        1",
+            "apps resumed from journal    4",
+            "apps measured fresh         46",
+            "apps replayed from prior epoch  39",
+            "apps reanalyzed (dirty)     11",
+            "peak RSS (KiB)          123456",
+            "throughput (apps/sec)     87.5",
+            "cache chain-validation (hit/miss)  900/100 (90.0%)",
+        ] {
+            let words: Vec<&str> = row.split_whitespace().collect();
+            assert!(
+                s.lines()
+                    .any(|l| l.split_whitespace().collect::<Vec<_>>() == words),
+                "missing {row:?} in:\n{s}"
+            );
+        }
+        // Untimed runs render a dash, not a bogus zero, and a run without
+        // a memo has no cache row.
+        let dashes = table_run_health(&RunHealth::default());
+        assert!(dashes.contains("peak RSS (KiB)") && dashes.contains("—"));
+        assert!(dashes.contains("journal truncations") && !dashes.contains("cache"));
+    }
+
+    #[test]
+    fn absorb_sums_counters_and_keeps_run_scoped_values() {
+        let epoch = RunHealth {
+            panics_recovered: 1,
+            breaker_trips: 2,
+            watchdog_breaches: 3,
+            recovery: ScrubStats {
+                quarantined_bytes: 4,
+                ..ScrubStats::default()
+            },
+            resumed_apps: 5,
+            fresh_apps: 6,
+            replayed_prior_epoch: 7,
+            reanalyzed_dirty: 8,
+            validation_memo: Some(CacheStat::default()),
+            peak_rss_kib: Some(9),
+            apps_per_sec: Some(10.0),
+        };
+        let mut total = RunHealth::default();
+        total.absorb(&epoch);
+        total.absorb(&epoch);
+        assert_eq!(
+            total,
+            RunHealth {
+                panics_recovered: 2,
+                breaker_trips: 4,
+                watchdog_breaches: 6,
+                recovery: ScrubStats {
+                    quarantined_bytes: 8,
+                    ..ScrubStats::default()
+                },
+                resumed_apps: 10,
+                fresh_apps: 12,
+                replayed_prior_epoch: 14,
+                reanalyzed_dirty: 16,
+                ..RunHealth::default()
+            }
+        );
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! owns the worker pool (per-worker deques, stealing from the back of the
 //! most loaded peer), the optional in-flight token gate, the commit lock
 //! (append, then check kill-after-N, atomically), the first media error,
-//! which kills the run, and watchdog-breach counting. Measuring a unit,
-//! including per-app panic isolation, and encoding its record stay with
-//! each engine. At one thread units run in the order given.
+//! which kills the run, and watchdog-breach counting. Measuring a unit
+//! and encoding its record stay with each engine; both measure each app
+//! with `record::measure_app` under `record::isolated`. At one thread
+//! units run in the order given.
 
 use pinning_resilience::media::MediaError;
 use std::collections::VecDeque;

@@ -734,34 +734,7 @@ impl StudyResults {
     /// resumed run legitimately differs from an uninterrupted one here
     /// while every deterministic report byte stays identical.
     pub fn render_run_health(&self) -> String {
-        tables::table_run_health(&tables::RunHealthReport {
-            panics_recovered: self.health.panics_recovered,
-            breaker_trips: self.health.breaker_trips,
-            watchdog_breaches: self.health.watchdog_breaches,
-            journal_truncations: self.health.journal_truncations,
-            quarantined_bytes: self.health.quarantined_bytes,
-            quarantined_records: self.health.quarantined_records,
-            journal_repairs: self.health.journal_repairs,
-            checkpoints_recovered: self.health.checkpoints_recovered,
-            resumed_apps: self.health.resumed_apps,
-            fresh_apps: self.health.fresh_apps,
-            replayed_prior_epoch: self.health.replayed_prior_epoch,
-            reanalyzed_dirty: self.health.reanalyzed_dirty,
-            cache_rows: self
-                .health
-                .validation_memo
-                .iter()
-                .map(|c| tables::CacheRow {
-                    name: c.name.clone(),
-                    hits: c.hits,
-                    misses: c.misses,
-                })
-                .collect(),
-            // The legacy engine does not time itself; the streaming engine
-            // fills these in via its own health rendering.
-            peak_rss_kib: None,
-            apps_per_sec: None,
-        })
+        crate::study::table_run_health(&self.health)
     }
 
     /// A one-paragraph abstract with the headline numbers, mirroring the

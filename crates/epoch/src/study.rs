@@ -13,18 +13,18 @@ use crate::fingerprint::{app_fingerprints_with, ServedState};
 use crate::plan::{apply_epoch, EpochConfig, EpochPlan};
 use crate::state::{EpochState, StateError};
 use pinning_analysis::dynamics::pipeline::RetryPolicy;
-use pinning_analysis::statics::{analyze_package, StaticFindings};
-use pinning_app::platform::Platform;
-use pinning_core::journal::{AppOutcome, EncodedEntry, JournalEntry, JournalError, ResultJournal};
+use pinning_analysis::statics::analyze_app;
+use pinning_core::journal::{EncodedEntry, JournalError, ResultJournal};
 use pinning_core::record::AppRecord;
-use pinning_core::study::{Study, StudyConfig, StudyOutcome, StudyResults, SupervisorConfig};
+use pinning_core::study::{
+    table_run_health, RunHealth, Study, StudyConfig, StudyOutcome, StudyResults, SupervisorConfig,
+};
 use pinning_crypto::Sha256;
 use pinning_netsim::faults::FaultConfig;
 use pinning_pki::validate::ValidationMemo;
 use pinning_report::evolution::{
     self, AdoptionPoint, CtDriftPoint, DistrustRow, EpochCostRow, EventCountRow, RotationRow,
 };
-use pinning_report::tables::{table_run_health, RunHealthReport};
 use pinning_resilience::media::{Media, MediaError};
 use pinning_resilience::recovery::{CheckpointStore, ScrubStats};
 use pinning_store::datasets::build_datasets;
@@ -82,9 +82,11 @@ pub struct Evolution {
     ct_drift: Vec<CtDriftPoint>,
     event_mix: Vec<EventCountRow>,
     costs: Vec<EpochCostRow>,
-    /// Journal-scrub and checkpoint-fallback accounting accumulated over
-    /// this engine's lifetime (resumes, checkpoint recoveries).
-    recovery: ScrubStats,
+    /// Every epoch's run health this engine measured, summed, plus
+    /// checkpoint-fallback accounting. Apps replayed from a prior epoch
+    /// are not counted as resumed; the replay and reanalysis totals come
+    /// from `costs`, which checkpoints carry.
+    health: RunHealth,
     /// The validation memo every epoch's study shares, warm across epochs.
     memo: Option<Arc<ValidationMemo>>,
 }
@@ -113,7 +115,7 @@ impl Evolution {
             ct_drift: Vec::new(),
             event_mix: Vec::new(),
             costs: Vec::new(),
-            recovery: ScrubStats::default(),
+            health: RunHealth::default(),
             memo: Some(Arc::default()),
         }
     }
@@ -286,6 +288,18 @@ impl Evolution {
         // own journal, which already holds these plus whatever fresh apps
         // committed, and scans every app as a fresh process does.
         let study = Study::new(self.study_config(kill_after)).with_memo(self.memo.clone());
+        // The study counts every entry it is handed as resumed; only the
+        // dirty apps a killed run of this epoch committed are.
+        let left_behind = match partial {
+            Some(bytes) => ResultJournal::open_expecting(bytes, fingerprint)?
+                .entries
+                .iter()
+                .map(|e| e.app_index as usize)
+                .filter(|i| dirty.contains(i))
+                .collect::<BTreeSet<_>>()
+                .len(),
+            None => 0,
+        };
         let outcome = match partial {
             Some(bytes) => study.resume_on_world(world, bytes, fingerprint)?,
             None => {
@@ -297,11 +311,11 @@ impl Evolution {
                     }
                     let frame = &self.frames[&i];
                     let record = &self.records[&i];
-                    debug_assert_eq!(*frame, encode_record(i, record));
+                    debug_assert_eq!(*frame, EncodedEntry::new(&record.to_entry()));
                     journal.append_encoded(frame);
                     debug_assert_eq!(
                         record.static_findings,
-                        scan(&world, i, self.config.world.ios_encryption_seed)
+                        analyze_app(&world.apps[i], self.config.world.ios_encryption_seed)
                     );
                     statics.insert(i, record.static_findings.clone());
                 }
@@ -321,19 +335,13 @@ impl Evolution {
         if self.incremental {
             for &i in &dirty {
                 self.frames
-                    .insert(i, encode_record(i, &results.records[&i]));
+                    .insert(i, EncodedEntry::new(&results.records[&i].to_entry()));
             }
         }
-        if self.incremental && k > 0 {
-            results.health.replayed_prior_epoch = replayed;
-            results.health.reanalyzed_dirty = dirty.len();
-        }
-        // Keep the journal-scrub accounting past the epoch: the study's
-        // RunHealth dies with its results, the evolution's does not.
-        self.recovery.quarantined_bytes += results.health.quarantined_bytes;
-        self.recovery.quarantined_records += results.health.quarantined_records;
-        self.recovery.repairs += results.health.journal_repairs;
-        self.recovery.checkpoints_recovered += results.health.checkpoints_recovered;
+        // The study's health dies with its results; the evolution's sum
+        // does not.
+        results.health.resumed_apps = left_behind;
+        self.health.absorb(&results.health);
 
         self.collect_rows(k, &results, &touched);
         self.costs.push(EpochCostRow {
@@ -524,8 +532,8 @@ impl Evolution {
             .unrendered
             .as_ref()
             .map_or(&self.records, |r| &r.records);
-        for (&i, rec) in records {
-            journal.append_encoded(&encode_record(i, rec));
+        for rec in records.values() {
+            journal.append(&rec.to_entry());
         }
         EpochState {
             identity: self.config.identity(),
@@ -571,7 +579,7 @@ impl Evolution {
         let recovered = store.load().ok_or(StateError::NoCheckpoint)?;
         let mut engine = Evolution::from_state(config, &recovered.payload)?;
         if recovered.fell_back {
-            engine.recovery.checkpoints_recovered += 1;
+            engine.health.recovery.checkpoints_recovered += 1;
         }
         Ok(engine)
     }
@@ -579,22 +587,18 @@ impl Evolution {
     /// Journal-scrub and checkpoint-fallback accounting accumulated over
     /// this engine's lifetime.
     pub fn recovery(&self) -> ScrubStats {
-        self.recovery
+        self.health.recovery
     }
 
-    /// Renders the run-health table for this evolution: replay/reanalyze
-    /// totals plus the accumulated journal-repair and
-    /// checkpoint-recovery accounting.
+    /// Renders the run-health table for this evolution: the summed health
+    /// of every epoch this engine measured, its journal-repair and
+    /// checkpoint-recovery accounting, and the replay/reanalyze totals of
+    /// every epoch of the run.
     pub fn render_run_health(&self) -> String {
-        table_run_health(&RunHealthReport {
-            journal_truncations: u32::from(!self.recovery.is_clean()),
-            quarantined_bytes: self.recovery.quarantined_bytes,
-            quarantined_records: self.recovery.quarantined_records,
-            journal_repairs: self.recovery.repairs,
-            checkpoints_recovered: self.recovery.checkpoints_recovered,
+        table_run_health(&RunHealth {
             replayed_prior_epoch: self.total_replayed(),
             reanalyzed_dirty: self.costs.iter().map(|c| c.reanalyzed).sum(),
-            ..Default::default()
+            ..self.health.clone()
         })
     }
 
@@ -631,11 +635,7 @@ impl Evolution {
         for entry in &replay.entries {
             let i = entry.app_index as usize;
             let app = &world.apps[i];
-            let statics = scan(world, i, decrypt_key);
-            let record = match &entry.outcome {
-                AppOutcome::Measured(m) => AppRecord::from_measured(i, app.id.clone(), statics, m),
-                AppOutcome::Failed(e) => AppRecord::failed(i, app.id.clone(), statics, *e),
-            };
+            let record = AppRecord::replay(entry, app, analyze_app(app, decrypt_key));
             if engine.incremental {
                 engine.frames.insert(i, EncodedEntry::new(entry));
             }
@@ -646,30 +646,10 @@ impl Evolution {
     }
 }
 
-/// The static scan of app `i` in `world`, as the study materializes it.
-fn scan(world: &World, i: usize, decrypt_key: u64) -> StaticFindings {
-    let app = &world.apps[i];
-    analyze_package(
-        &app.package,
-        (app.id.platform == Platform::Ios).then_some(decrypt_key),
-    )
-}
-
-/// A completed record, re-encoded as the journal record it came from.
-fn encode_record(app_index: usize, rec: &AppRecord) -> EncodedEntry {
-    let outcome = match rec.error {
-        Some(e) => AppOutcome::Failed(e),
-        None => AppOutcome::Measured(Box::new(rec.to_measured())),
-    };
-    EncodedEntry::new(&JournalEntry {
-        app_index: app_index as u64,
-        outcome,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pinning_app::platform::Platform;
 
     #[test]
     fn baseline_epoch_measures_everything() {
@@ -756,7 +736,7 @@ mod tests {
             for (&i, record) in &ev.records {
                 assert_eq!(
                     record.static_findings,
-                    scan(world, i, key),
+                    analyze_app(&world.apps[i], key),
                     "epoch {k}: app {i}'s static findings are stale"
                 );
             }
@@ -798,8 +778,58 @@ mod tests {
         assert_eq!(restored.completed(), 1, "fell back to the epoch-1 image");
         assert_eq!(restored.full_report(), report_after_1);
         assert_eq!(restored.recovery().checkpoints_recovered, 1);
-        let health = restored.render_run_health();
-        assert!(health.contains("checkpoints recovered"), "{health}");
+        // Byte for byte as the engine rendered it before its one
+        // run-health record: the restored engine has measured nothing.
+        assert_eq!(
+            restored.render_run_health(),
+            "\
+Run health (supervision & journal telemetry)
+Event                           Count
+-------------------------------------
+worker panics recovered             0
+circuit-breaker trips               0
+watchdog breaches                   0
+journal truncations                 1
+quarantined bytes                   0
+quarantined records                 0
+journal repairs                     0
+checkpoints recovered               1
+apps resumed from journal           0
+apps measured fresh                 0
+apps replayed from prior epoch      0
+apps reanalyzed (dirty)            68
+peak RSS (KiB)                      —
+throughput (apps/sec)               —
+"
+        );
+    }
+
+    #[test]
+    fn run_health_counts_what_every_epoch_measured_and_resumed() {
+        let mut ev = Evolution::new(EpochConfig::tiny(0xB7), true);
+        ev.next_epoch().unwrap();
+        let EpochOutcome::Interrupted(journal) = ev.next_epoch_with_kill(3).unwrap() else {
+            panic!("the kill hook must interrupt epoch 1");
+        };
+        ev.resume_epoch(&journal).unwrap();
+        let health = ev.render_run_health();
+        let count = |row: &str| -> usize {
+            let line = health.lines().find(|l| l.starts_with(row));
+            let value = line.and_then(|l| l.split_whitespace().last());
+            value
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("{row}:\n{health}"))
+        };
+        // Epoch 1 resumes the three apps the killed run committed; its
+        // clean apps are replayed from epoch 0, not resumed.
+        assert_eq!(count("apps resumed from journal"), 3, "{health}");
+        assert!(count("apps replayed from prior epoch") > 0, "{health}");
+        assert!(count("apps measured fresh") > 0, "{health}");
+        assert_eq!(
+            count("apps resumed from journal") + count("apps measured fresh"),
+            count("apps reanalyzed (dirty)"),
+            "every dirty app is either resumed or measured fresh:\n{health}"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cache hit/miss telemetry.
 //!
 //! The performance layer computes derived certificate artifacts (DER
-//! bytes, fingerprints, SPKI digests, pin strings), chain-validation
+//! bytes, fingerprints, SPKI SHA-256 digests), chain-validation
 //! verdicts and Merkle proof batches once per distinct input. Every such
 //! cache keeps a [`CacheCounter`] of hits and misses, so a reported
 //! speedup can be traced to concrete avoided recomputation.
@@ -88,9 +88,11 @@ pub static CERT_DER: CacheCounter = CacheCounter::new("cert-der");
 pub static CERT_FINGERPRINT: CacheCounter = CacheCounter::new("cert-fingerprint");
 /// Cached SPKI SHA-256 digests.
 pub static CERT_SPKI_SHA256: CacheCounter = CacheCounter::new("cert-spki-sha256");
-/// Cached SPKI SHA-1 digests.
+/// Inert: SPKI SHA-1 digests are no longer cached; this counter stays at zero.
+#[deprecated(note = "SPKI SHA-1 digests are no longer cached; this counter stays at zero")]
 pub static CERT_SPKI_SHA1: CacheCounter = CacheCounter::new("cert-spki-sha1");
-/// Cached `sha256/<base64>` pin strings.
+/// Inert: pin strings are no longer cached; this counter stays at zero.
+#[deprecated(note = "pin strings are no longer cached; this counter stays at zero")]
 pub static CERT_PIN_STRING: CacheCounter = CacheCounter::new("cert-pin-string");
 /// Chain-validation verdicts, summed over every [`crate::validate::ValidationMemo`].
 pub static CHAIN_VALIDATION: CacheCounter = CacheCounter::new("chain-validation");

@@ -82,8 +82,6 @@ struct DerivedCache {
     der: OnceLock<Arc<[u8]>>,
     fingerprint: OnceLock<[u8; 32]>,
     spki_sha256: OnceLock<[u8; 32]>,
-    spki_sha1: OnceLock<[u8; 20]>,
-    pin_string: OnceLock<Arc<str>>,
     /// Debug-only mutation guard: a cheap content probe captured at the
     /// first derived read through this cell, or at decode when the decoder
     /// seeds the cell. Every later cached read
@@ -123,7 +121,7 @@ impl Fnv {
 ///
 /// The public fields remain directly accessible. Code that mutates `tbs` or
 /// `signature` *in place* after reading a derived value (fingerprint, DER,
-/// pin string) must call [`Certificate::invalidate_derived`] afterwards —
+/// SPKI digest) must call [`Certificate::invalidate_derived`] afterwards —
 /// the derived-value cache cannot observe field writes.
 pub struct Certificate {
     /// Signed body.
@@ -403,32 +401,17 @@ impl Certificate {
             .get_or_init(|| self.tbs.public_key.spki_sha256())
     }
 
-    /// SHA-1 of the SubjectPublicKeyInfo (legacy `sha1/...` pins).
+    /// SHA-1 of the SubjectPublicKeyInfo (legacy `sha1/...` pins),
+    /// hashed on every call: no workload asks for one often enough to
+    /// repay a cached cell.
     pub fn spki_sha1(&self) -> [u8; 20] {
-        self.debug_assert_cache_fresh();
-        if let Some(d) = self.cache.spki_sha1.get() {
-            cache::CERT_SPKI_SHA1.hit();
-            return *d;
-        }
-        cache::CERT_SPKI_SHA1.miss();
-        *self
-            .cache
-            .spki_sha1
-            .get_or_init(|| self.tbs.public_key.spki_sha1())
+        self.tbs.public_key.spki_sha1()
     }
 
-    /// The conventional `sha256/<base64>` pin string for this certificate.
+    /// The conventional `sha256/<base64>` pin string for this certificate,
+    /// formatted on every call from the cached SPKI digest.
     pub fn spki_pin_string(&self) -> String {
-        self.debug_assert_cache_fresh();
-        if let Some(pin) = self.cache.pin_string.get() {
-            cache::CERT_PIN_STRING.hit();
-            return pin.to_string();
-        }
-        cache::CERT_PIN_STRING.miss();
-        self.cache
-            .pin_string
-            .get_or_init(|| format!("sha256/{}", b64encode(&self.spki_sha256())).into())
-            .to_string()
+        format!("sha256/{}", b64encode(&self.spki_sha256()))
     }
 
     /// Whether the certificate's names cover `hostname` (checks SANs, then

@@ -425,115 +425,6 @@ pub fn table_ct(
     out
 }
 
-/// Supervision telemetry for one study run (the "Run health" table).
-///
-/// Kept separate from the deterministic report tables: a resumed run
-/// legitimately differs here (resumed vs fresh counts) while every Table
-/// 1–9 byte stays identical.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunHealthReport {
-    /// Worker panics converted into degraded records.
-    pub panics_recovered: u32,
-    /// Circuit-breaker trips summed over all apps.
-    pub breaker_trips: u32,
-    /// Apps whose wall-clock measurement exceeded the watchdog deadline.
-    pub watchdog_breaches: u32,
-    /// Journals that lost records to corruption during resume.
-    pub journal_truncations: u32,
-    /// Bytes quarantined by the journal scrubber (damaged spans, torn
-    /// tails, dropped duplicates).
-    pub quarantined_bytes: u64,
-    /// Whole records destroyed by mid-journal damage.
-    pub quarantined_records: u32,
-    /// Journal self-heals: resyncs past damage plus dropped duplicate
-    /// segments.
-    pub journal_repairs: u32,
-    /// Checkpoint loads that fell back past a damaged slot.
-    pub checkpoints_recovered: u32,
-    /// Apps recovered from the journal instead of re-measured.
-    pub resumed_apps: usize,
-    /// Apps measured by this process.
-    pub fresh_apps: usize,
-    /// Epoch engine: apps whose verdict was replayed from the prior epoch
-    /// because their fingerprint was clean (0 outside epoch runs).
-    pub replayed_prior_epoch: usize,
-    /// Epoch engine: apps re-measured because an epoch event dirtied
-    /// their fingerprint (0 outside epoch runs).
-    pub reanalyzed_dirty: usize,
-    /// Per-cache hit/miss activity during this run (empty when the caching
-    /// layer was disabled).
-    pub cache_rows: Vec<CacheRow>,
-    /// Peak resident-set size of the process, KiB (`None` when the
-    /// platform exposes no high-water mark). The streaming engine uses
-    /// this row to make memory flatness observable per run.
-    pub peak_rss_kib: Option<u64>,
-    /// Measured throughput, apps per second of wall-clock study time
-    /// (`None` for runs that did not time themselves).
-    pub apps_per_sec: Option<f64>,
-}
-
-/// One derived-value cache's activity for the run-health table.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheRow {
-    /// Cache name (e.g. `"cert-fingerprint"`).
-    pub name: String,
-    /// Queries answered from the cache.
-    pub hits: u64,
-    /// Queries that computed and stored a fresh value.
-    pub misses: u64,
-}
-
-/// Renders the "Run health" table: what the supervision layer absorbed so
-/// the study could finish.
-pub fn table_run_health(r: &RunHealthReport) -> String {
-    let mut t = TextTable::new(
-        "Run health (supervision & journal telemetry)",
-        &["Event", "Count"],
-    )
-    .aligns(&[Align::Left, Align::Right]);
-    t.row(&["worker panics recovered", &r.panics_recovered.to_string()]);
-    t.row(&["circuit-breaker trips", &r.breaker_trips.to_string()]);
-    t.row(&["watchdog breaches", &r.watchdog_breaches.to_string()]);
-    t.row(&["journal truncations", &r.journal_truncations.to_string()]);
-    t.row(&["quarantined bytes", &r.quarantined_bytes.to_string()]);
-    t.row(&["quarantined records", &r.quarantined_records.to_string()]);
-    t.row(&["journal repairs", &r.journal_repairs.to_string()]);
-    t.row(&[
-        "checkpoints recovered",
-        &r.checkpoints_recovered.to_string(),
-    ]);
-    t.row(&["apps resumed from journal", &r.resumed_apps.to_string()]);
-    t.row(&["apps measured fresh", &r.fresh_apps.to_string()]);
-    t.row(&[
-        "apps replayed from prior epoch",
-        &r.replayed_prior_epoch.to_string(),
-    ]);
-    t.row(&["apps reanalyzed (dirty)", &r.reanalyzed_dirty.to_string()]);
-    t.row(&[
-        "peak RSS (KiB)",
-        &r.peak_rss_kib
-            .map_or_else(|| "—".to_string(), |k| k.to_string()),
-    ]);
-    t.row(&[
-        "throughput (apps/sec)",
-        &r.apps_per_sec
-            .map_or_else(|| "—".to_string(), |v| format!("{v:.1}")),
-    ]);
-    for c in &r.cache_rows {
-        let total = c.hits + c.misses;
-        let rate = if total == 0 {
-            0.0
-        } else {
-            100.0 * c.hits as f64 / total as f64
-        };
-        t.row(&[
-            &format!("cache {} (hit/miss)", c.name),
-            &format!("{}/{} ({rate:.1}%)", c.hits, c.misses),
-        ]);
-    }
-    t.render()
-}
-
 /// One decode layer's row in the "Malformed-input resilience" table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResilienceRow {
@@ -752,51 +643,6 @@ mod tests {
         );
         let s = table_categories(Platform::Android, &rows);
         assert!(s.contains("Tools (15)"));
-    }
-
-    #[test]
-    fn run_health_renders_every_counter() {
-        let s = table_run_health(&RunHealthReport {
-            panics_recovered: 1,
-            breaker_trips: 7,
-            watchdog_breaches: 0,
-            journal_truncations: 1,
-            quarantined_bytes: 58,
-            quarantined_records: 2,
-            journal_repairs: 3,
-            checkpoints_recovered: 1,
-            resumed_apps: 4,
-            fresh_apps: 46,
-            replayed_prior_epoch: 39,
-            reanalyzed_dirty: 11,
-            cache_rows: vec![CacheRow {
-                name: "cert-fingerprint".into(),
-                hits: 900,
-                misses: 100,
-            }],
-            peak_rss_kib: Some(123_456),
-            apps_per_sec: Some(87.5),
-        });
-        assert!(s.contains("Run health"));
-        assert!(s.contains("worker panics recovered"));
-        assert!(s.contains("circuit-breaker trips"));
-        assert!(s.contains("apps replayed from prior epoch"));
-        assert!(s.contains("apps reanalyzed (dirty)"));
-        assert!(s.contains("quarantined records"));
-        assert!(s.contains("journal repairs"));
-        assert!(s.contains("checkpoints recovered"));
-        for n in ["1", "7", "58", "4", "46", "39", "11"] {
-            assert!(s.contains(n), "missing {n} in:\n{s}");
-        }
-        assert!(s.contains("cache cert-fingerprint (hit/miss)"));
-        assert!(s.contains("900/100 (90.0%)"));
-        assert!(s.contains("peak RSS (KiB)"));
-        assert!(s.contains("123456"));
-        assert!(s.contains("throughput (apps/sec)"));
-        assert!(s.contains("87.5"));
-        // Untimed runs render a dash, not a bogus zero.
-        let dashes = table_run_health(&RunHealthReport::default());
-        assert!(dashes.contains("—"));
     }
 
     #[test]

@@ -30,8 +30,9 @@ pub struct ServeConfig {
     /// longest class: on a cold tree state they pay the resolver's
     /// authenticator-build charge, `tree_size / PROOF_COST_DIVISOR + 1`
     /// ticks, which models a CT backend and grows with the log (the
-    /// in-process build is O(log n) hashing; the charge is unchanged so
-    /// timeouts and latencies stay as calibrated).
+    /// in-process build copies every stored subtree hash, O(n), and
+    /// hashes O(log n) nodes; the charge is unchanged so timeouts and
+    /// latencies stay as calibrated).
     pub deadline_proof: u64,
     /// Retry budget for transient backend faults. `backoff_secs` is read
     /// as *ticks* here; `deadline_secs` is unused (the per-endpoint

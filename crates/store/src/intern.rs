@@ -71,8 +71,6 @@ impl CertInterner {
             let _ = cert.der_bytes();
             let _ = cert.fingerprint_sha256();
             let _ = cert.spki_sha256();
-            let _ = cert.spki_sha1();
-            let _ = cert.spki_pin_string();
         }
     }
 }

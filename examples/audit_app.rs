@@ -11,7 +11,7 @@
 
 use app_tls_pinning::analysis::circumvent::circumvent_app;
 use app_tls_pinning::analysis::dynamics::pipeline::{analyze_app, DynamicEnv};
-use app_tls_pinning::analysis::statics::analyze_package;
+use app_tls_pinning::analysis::statics;
 use app_tls_pinning::app::platform::Platform;
 use app_tls_pinning::store::config::WorldConfig;
 use app_tls_pinning::store::world::World;
@@ -45,8 +45,7 @@ fn main() {
     );
 
     // --- static pass ---
-    let key = (platform == Platform::Ios).then_some(world.config.ios_encryption_seed);
-    let findings = analyze_package(&app.package, key);
+    let findings = statics::analyze_app(app, world.config.ios_encryption_seed);
     println!("\n[static] certificate material");
     if findings.embedded_certs.is_empty() && findings.pin_strings.is_empty() {
         println!("  (none found)");

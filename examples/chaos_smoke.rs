@@ -150,6 +150,6 @@ fn main() {
     println!("{}", resumed_stream.render_health());
     println!(
         "storage-fault smoke OK: {} shards resumed + {} fresh, streamed report byte-identical",
-        resumed_stream.health.shards_resumed, resumed_stream.health.shards_fresh
+        resumed_stream.stream.shards_resumed, resumed_stream.stream.shards_fresh
     );
 }

@@ -9,8 +9,7 @@
 //! package and the differential (MITM vs non-MITM) dynamic analysis.
 
 use app_tls_pinning::analysis::dynamics::pipeline::{analyze_app, DynamicEnv};
-use app_tls_pinning::analysis::statics::analyze_package;
-use app_tls_pinning::app::platform::Platform;
+use app_tls_pinning::analysis::statics;
 use app_tls_pinning::store::config::WorldConfig;
 use app_tls_pinning::store::world::World;
 
@@ -38,8 +37,7 @@ fn main() {
     );
 
     // 3. Static analysis: scan the package (decrypting first on iOS).
-    let key = (app.id.platform == Platform::Ios).then_some(world.config.ios_encryption_seed);
-    let findings = analyze_package(&app.package, key);
+    let findings = statics::analyze_app(app, world.config.ios_encryption_seed);
     println!("\n-- static analysis (§4.1) --");
     println!("  embedded certificates: {}", findings.embedded_certs.len());
     for c in findings.embedded_certs.iter().take(3) {

@@ -17,7 +17,7 @@ use pinning_core::{Study, StudyConfig, StudyOutcome};
 use pinning_netsim::faults::{FaultConfig, FaultPlan, MeasurementError};
 use pinning_store::config::WorldConfig;
 use pinning_store::world::World;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn env_with_faults(world: &World, config: FaultConfig) -> DynamicEnv<'_> {
     DynamicEnv::new(
@@ -214,6 +214,37 @@ fn killed_faulted_study_resumes_byte_identically() {
 
     assert_eq!(resumed.health.resumed_apps, 6);
     assert!(resumed.health.fresh_apps > 0, "tiny world has > 6 apps");
+    // Run health as the engine rendered it before its one run-health
+    // record: every count of the resumed run (its memo traffic depends on
+    // which apps the killed two-worker run committed), and the whole
+    // table of the uninterrupted run.
+    assert_eq!(
+        health_counts(&resumed.render_run_health()),
+        [0, 1039, 0, 0, 0, 0, 0, 0, 6, 63, 0, 0]
+    );
+    assert_eq!(
+        uninterrupted.render_run_health(),
+        "\
+Run health (supervision & journal telemetry)
+Event                              Count
+---------------------------------------------------
+worker panics recovered                           0
+circuit-breaker trips                          1039
+watchdog breaches                                 0
+journal truncations                               0
+quarantined bytes                                 0
+quarantined records                               0
+journal repairs                                   0
+checkpoints recovered                             0
+apps resumed from journal                         0
+apps measured fresh                              69
+apps replayed from prior epoch                    0
+apps reanalyzed (dirty)                           0
+peak RSS (KiB)                                    —
+throughput (apps/sec)                             —
+cache chain-validation (hit/miss)  3993/338 (92.2%)
+"
+    );
     assert_eq!(
         resumed.render_all(),
         uninterrupted.render_all(),
@@ -253,12 +284,42 @@ fn injected_worker_panic_degrades_one_app_not_the_study() {
         );
         assert_eq!(rec.error, None, "app {idx} must not degrade");
     }
-    // The run-health table admits the recovery.
-    let health = r.render_run_health();
-    assert!(
-        health.contains("worker panics recovered"),
-        "run-health table missing:\n{health}"
+    // The run-health table admits the recovery, byte for byte as the
+    // engine rendered it before its one run-health record.
+    assert_eq!(
+        r.render_run_health(),
+        "\
+Run health (supervision & journal telemetry)
+Event                              Count
+---------------------------------------------------
+worker panics recovered                           1
+circuit-breaker trips                             0
+watchdog breaches                                 0
+journal truncations                               0
+quarantined bytes                                 0
+quarantined records                               0
+journal repairs                                   0
+checkpoints recovered                             0
+apps resumed from journal                         0
+apps measured fresh                              77
+apps replayed from prior epoch                    0
+apps reanalyzed (dirty)                           0
+peak RSS (KiB)                                    —
+throughput (apps/sec)                             —
+cache chain-validation (hit/miss)  3806/389 (90.7%)
+"
     );
+}
+
+/// The counts of a run-health table, top to bottom, without the rows that
+/// vary between identical runs: peak RSS, throughput and memo traffic.
+fn health_counts(table: &str) -> Vec<u64> {
+    table
+        .lines()
+        .filter(|l| !l.starts_with("peak RSS") && !l.starts_with("throughput"))
+        .filter(|l| !l.starts_with("cache"))
+        .filter_map(|l| l.split_whitespace().last()?.parse().ok())
+        .collect()
 }
 
 #[test]
@@ -714,6 +775,28 @@ fn stream_fault_matrix_resumes_byte_identically_or_errors_structurally() {
         StreamOutcome::Interrupted { .. } => panic!("no kill configured"),
     };
 
+    // Each resumed cell's run-health counts (see `health_counts`), as the
+    // engine rendered them before its one run-health record.
+    let frozen_health: BTreeMap<(&str, usize), [u64; 12]> = [
+        (("none", 1), [0, 0, 0, 0, 0, 0, 0, 0, 8, 112, 0, 0]),
+        (("none", 3), [0, 0, 0, 0, 0, 0, 0, 0, 24, 96, 0, 0]),
+        (("torn", 1), [0, 0, 0, 0, 0, 0, 0, 0, 8, 112, 0, 0]),
+        (("torn", 3), [0, 0, 0, 0, 0, 0, 0, 0, 24, 96, 0, 0]),
+        (("lossy-flush", 1), [0, 0, 0, 0, 0, 0, 0, 0, 8, 112, 0, 0]),
+        (("lossy-flush", 3), [0, 0, 0, 0, 0, 0, 0, 0, 16, 104, 0, 0]),
+        (("bit-rot", 1), [0, 0, 0, 1, 2070, 0, 0, 0, 0, 120, 0, 0]),
+        (("bit-rot", 3), [0, 0, 0, 1, 4150, 1, 1, 0, 8, 112, 0, 0]),
+        (("duplicating", 1), [0, 0, 0, 0, 0, 0, 0, 0, 8, 112, 0, 0]),
+        (
+            ("duplicating", 3),
+            [0, 0, 0, 1, 2070, 0, 1, 0, 24, 96, 0, 0],
+        ),
+        (("chaos", 1), [0, 0, 0, 0, 0, 0, 0, 0, 8, 112, 0, 0]),
+        (("chaos", 3), [0, 0, 0, 0, 0, 0, 0, 0, 24, 96, 0, 0]),
+    ]
+    .into_iter()
+    .collect();
+
     let (mut cells, mut identical, mut structured) = (0u32, 0u32, 0u32);
     for (name, base) in fault_plans(0x57A6) {
         for kill_after in [1usize, 3] {
@@ -749,7 +832,11 @@ fn stream_fault_matrix_resumes_byte_identically_or_errors_structurally() {
                     // that lose or damage data must show up in the
                     // run-health accounting or in re-measured shards.
                     let health = results.render_health();
-                    assert!(health.contains("quarantined"), "{health}");
+                    assert_eq!(
+                        health_counts(&health),
+                        frozen_health[&(name, kill_after)],
+                        "{name}/kill{kill_after}:\n{health}"
+                    );
                     identical += 1;
                 }
                 Ok(StreamOutcome::Interrupted { .. }) => {

@@ -38,11 +38,39 @@ fn thread_count_does_not_change_results() {
     single.threads = 1;
     let mut pooled = StudyConfig::tiny(0xAB02);
     pooled.threads = 4;
+    let (single, pooled) = (Study::new(single).run(), Study::new(pooled).run());
     assert_eq!(
-        Study::new(single).run().render_all(),
-        Study::new(pooled).run().render_all(),
+        single.render_all(),
+        pooled.render_all(),
         "cache interleaving across worker threads changed a report byte"
     );
+    // Run health too is the same at any thread count, and the same as
+    // the engine rendered it before its one run-health record.
+    for run in [&single, &pooled] {
+        assert_eq!(
+            run.render_run_health(),
+            "\
+Run health (supervision & journal telemetry)
+Event                              Count
+---------------------------------------------------
+worker panics recovered                           0
+circuit-breaker trips                             0
+watchdog breaches                                 0
+journal truncations                               0
+quarantined bytes                                 0
+quarantined records                               0
+journal repairs                                   0
+checkpoints recovered                             0
+apps resumed from journal                         0
+apps measured fresh                              74
+apps replayed from prior epoch                    0
+apps reanalyzed (dirty)                           0
+peak RSS (KiB)                                    —
+throughput (apps/sec)                             —
+cache chain-validation (hit/miss)  3616/393 (90.2%)
+"
+        );
+    }
 }
 
 /// Two runs of `config` sharing one memo: the second starts with every
